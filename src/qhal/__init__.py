@@ -17,6 +17,7 @@ from .errors import (
     FullLatticeError,
     LatticeMismatchError,
     NonDivisorError,
+    NonFiniteError,
     NotRieszError,
     NotSeparableError,
     ParityError,

@@ -1,4 +1,4 @@
-"""Diagnostics and inversion built on the lattice convolutions.
+"""Diagnostics and inversion built on the Fourier side of the convolutions.
 
 Central object: for a generator S and lattice Lambda, the symbol
 
@@ -7,8 +7,10 @@ Central object: for a generator S and lattice Lambda, the symbol
 is real and nonnegative, and its values over the cosets of the adjoint
 lattice are exactly the eigenvalues of the Gram matrix of the translates
 alpha_lambda(S).  The translates form a Riesz sequence precisely when the
-symbol has no zeros, in which case dividing by it yields a biorthogonal
-generator, best approximations in the span, and exact mask recovery.
+symbol has no zeros.  Dividing by it then yields the biorthogonal
+generator and the orthogonal projection onto the span, which serves both
+best approximation and exact mask recovery.  Only ``riesz_report`` builds
+the dense Gram matrix, whose eigenvalues check the symbol independently.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolutions import (
-    fs_of_op_op_conv,
-    op_op_conv,
-    seq_op_conv,
-    synthesis_map,
-)
+from .convolutions import op_op_conv, seq_op_conv, synthesis_map
 from .errors import (
     DivisionByZeroError,
     FullLatticeError,
@@ -43,12 +40,13 @@ from .phase_space import (
     QuotientFunction,
     adjoint_lattice,
     quotient_reps,
-    reduce_point,
 )
 from .transforms import (
+    _coords,
     fourier_wigner,
     inverse_fourier_wigner,
     inverse_symplectic_fourier_series,
+    lift_quotient_function,
     periodize,
 )
 
@@ -68,7 +66,7 @@ __all__ = [
     "underspread_divide",
 ]
 
-# a symbol value counts as zero below this multiple of the symbol maximum
+# a symbol value counts as zero up to this multiple of the symbol maximum
 ZERO_TOL = 1e-10
 
 SUPPORT_RTOL = 1e-12
@@ -79,21 +77,62 @@ def _checked_star(S: np.ndarray) -> np.ndarray:
     return parity_conjugate(np.conj(S.T))
 
 
+def _symbol(FS: np.ndarray, lattice: Lattice, zero_tol: float):
+    """The symbol of the generator with FW(S) = FS, and its zero cosets."""
+    symbol = periodize(np.abs(FS) ** 2, adjoint_lattice(lattice))
+    vals = symbol.values.real  # exactly nonnegative, so zero_tol=0 flags exact zeros
+    zero = np.flatnonzero(vals <= zero_tol * vals.max())
+    return symbol, tuple(symbol.quotient.reps[i] for i in zero)
+
+
+def _riesz_symbol(FS: np.ndarray, lattice: Lattice, zero_tol: float):
+    """The symbol, refusing generators whose translates are not Riesz."""
+    symbol, zero = _symbol(FS, lattice, zero_tol)
+    if zero:
+        raise NotRieszError(
+            f"symbol vanishes on {len(zero)} cosets; "
+            "no biorthogonal generator exists"
+        )
+    return symbol
+
+
+def _dual(FS: np.ndarray, symbol: QuotientFunction) -> np.ndarray:
+    """The biorthogonal generator: FW(R) = conj(FW(S)) / symbol."""
+    return inverse_fourier_wigner(np.conj(FS) / lift_quotient_function(symbol))
+
+
+def _project(T: np.ndarray, FS: np.ndarray, symbol: QuotientFunction, lattice):
+    """Mask and approximant of the orthogonal projection of T onto the span.
+
+    The mask's series is periodize(FW(T) conj(FW(S))) / symbol, and the
+    approximant's Fourier-Wigner transform is that series times FW(S).
+    """
+    cross = periodize(fourier_wigner(T) * np.conj(FS), symbol.quotient.lattice)
+    ratio = QuotientFunction(cross.quotient, cross.values / symbol.values)
+    mask = inverse_symplectic_fourier_series(ratio, lattice)
+    approximant = inverse_fourier_wigner(lift_quotient_function(ratio) * FS)
+    return mask, approximant
+
+
 def gram_matrix(S, lattice: Lattice) -> np.ndarray:
     """Gram matrix of the lattice translates of S in HS inner product.
 
     Entry (i, j) is <alpha_j S, alpha_i S> = (S conv checked(S*))(p_i - p_j),
-    so the matrix is constant along lattice differences.
+    so the matrix is constant along lattice differences.  It is gathered
+    from a 2 x 2 tiling of the grid, where p_i - p_j + (L, L) needs no
+    reduction mod L; the N x N flat index is int32 (4 L^2 fits), half the
+    size of a default index array.
     """
     S = as_operator(S, L=lattice.L)
-    h = op_op_conv(S, _checked_star(S), lattice)
     L = lattice.L
-    n = lattice.size
-    G = np.empty((n, n), dtype=np.complex128)
-    for i, (am, an) in enumerate(lattice.points):
-        for j, (bm, bn) in enumerate(lattice.points):
-            G[i, j] = h.values[lattice.index[((am - bm) % L, (an - bn) % L)]]
-    return G
+    h = op_op_conv(S, _checked_star(S), lattice)
+    rows, cols = _coords(lattice.points)
+    grid = np.zeros((L, L), dtype=np.complex128)
+    grid[rows, cols] = h.values
+    flat = (rows * (2 * L) + cols).astype(np.int32)
+    index = np.subtract.outer(flat, flat)
+    index += (2 * L + 1) * L
+    return np.tile(grid, (2, 2)).ravel()[index]
 
 
 @dataclass(eq=False)
@@ -109,52 +148,23 @@ class RieszReport:
     def is_riesz(self) -> bool:
         return len(self.zero_cosets) == 0
 
-    def to_jsonable(self) -> dict:
-        return {
-            "lattice": _lattice_jsonable(self.lattice),
-            "adjoint": _lattice_jsonable(adjoint_lattice(self.lattice)),
-            "A": self.lower,
-            "B": self.upper,
-            "zero_cosets": [list(z) for z in self.zero_cosets],
-            "gram_eigenvalues": [float(v) for v in self.gram_eigenvalues],
-        }
-
-
-def _lattice_jsonable(lattice: Lattice) -> dict:
-    return {
-        "L": lattice.L,
-        "gens": [list(g) for g in lattice.generators],
-        "size": lattice.size,
-    }
-
 
 def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport:
     """Frame-theoretic health check of the lattice translates of S.
 
-    The symbol is computed on the Fourier side; its imaginary part is
-    rounding noise and is dropped for the bounds.  Eigenvalues come from
-    an independent dense eigendecomposition of the Gram matrix.
+    The bounds are the extremes of the symbol.  Eigenvalues come from an
+    independent dense eigendecomposition of the Gram matrix.
     """
     S = as_operator(S, L=lattice.L)
-    symbol = fs_of_op_op_conv(S, _checked_star(S), lattice)
+    symbol, zero = _symbol(fourier_wigner(S), lattice, zero_tol)
     vals = symbol.values.real
-    top = float(vals.max(initial=0.0))
-    if top <= 0.0:
-        zero = tuple(symbol.quotient.reps)
-    else:
-        zero = tuple(
-            rep
-            for rep, v in zip(symbol.quotient.reps, vals)
-            if v < zero_tol * top
-        )
-    eigs = np.linalg.eigvalsh(gram_matrix(S, lattice))
     return RieszReport(
         lattice=lattice,
         symbol=symbol,
         lower=float(vals.min()),
-        upper=top,
+        upper=float(vals.max()),
         zero_cosets=zero,
-        gram_eigenvalues=eigs,
+        gram_eigenvalues=np.linalg.eigvalsh(gram_matrix(S, lattice)),
     )
 
 
@@ -163,25 +173,18 @@ def biorthogonal_generator(
 ) -> np.ndarray:
     """The operator R with (S conv R)(lambda) = delta_0(lambda).
 
-    R is built as b conv checked(S*) where the series coefficients b
-    invert the symbol; requires the translates of S to be Riesz.
+    R = b conv checked(S*), where the series of b inverts the symbol;
+    requires the translates of S to be Riesz.
     """
-    S = as_operator(S, L=lattice.L)
-    report = riesz_report(S, lattice, zero_tol=zero_tol)
-    if not report.is_riesz:
-        raise NotRieszError(
-            f"symbol vanishes on {len(report.zero_cosets)} cosets; "
-            "no biorthogonal generator exists"
-        )
-    inverse_symbol = QuotientFunction(
-        report.symbol.quotient, 1.0 / report.symbol.values
-    )
-    b = inverse_symplectic_fourier_series(inverse_symbol, lattice)
-    return seq_op_conv(b, _checked_star(S))
+    FS = fourier_wigner(as_operator(S, L=lattice.L))
+    return _dual(FS, _riesz_symbol(FS, lattice, zero_tol))
 
 
 @dataclass(eq=False)
 class ApproxReport:
+    """``mask`` comes from the projection; ``fourier_mask`` is the same mask
+    computed independently as T conv R, with R the biorthogonal generator."""
+
     mask: LatticeSequence
     fourier_mask: LatticeSequence
     approximant: np.ndarray
@@ -198,31 +201,21 @@ def best_approximation(
 ) -> ApproxReport:
     """Best HS approximation of T from the span of the translates of S.
 
-    The mask is computed two ways that must agree: time side as
-    T conv R with R the biorthogonal generator, and Fourier side as the
-    inverse series of periodize(FW(T) conj(FW(S))) / symbol.
+    The symbol is computed once; it gives both the projection and the
+    biorthogonal generator R of the cross-check T conv R.
     """
     T = as_operator(T, L=lattice.L)
     S = as_operator(S, L=lattice.L)
-    R = biorthogonal_generator(S, lattice, zero_tol=zero_tol)
-    mask = op_op_conv(T, R, lattice)
-
-    symbol = fs_of_op_op_conv(S, _checked_star(S), lattice)
-    cross = periodize(
-        fourier_wigner(T) * np.conj(fourier_wigner(S)),
-        adjoint_lattice(lattice),
-    )
-    quotient = QuotientFunction(cross.quotient, cross.values / symbol.values)
-    fourier_mask = inverse_symplectic_fourier_series(quotient, lattice)
-
-    approximant = seq_op_conv(mask, S)
+    FS = fourier_wigner(S)
+    symbol = _riesz_symbol(FS, lattice, zero_tol)
+    mask, approximant = _project(T, FS, symbol, lattice)
     residual = T - approximant
     defect = float(
         np.max(np.abs(op_op_conv(residual, _checked_star(S), lattice).values))
     )
     return ApproxReport(
         mask=mask,
-        fourier_mask=fourier_mask,
+        fourier_mask=op_op_conv(T, _dual(FS, symbol), lattice),
         approximant=approximant,
         residual_hs=hs_norm(residual),
         orthogonality_defect=defect,
@@ -245,10 +238,10 @@ def recover_mask(
     measures the distance of G to the module span.
     """
     G = as_operator(G, L=lattice.L)
-    R = biorthogonal_generator(S, lattice, zero_tol=zero_tol)
-    mask = op_op_conv(G, R, lattice)
-    residual = hs_norm(G - seq_op_conv(mask, S))
-    return MaskRecovery(mask=mask, residual_hs=residual)
+    FS = fourier_wigner(as_operator(S, L=lattice.L))
+    symbol = _riesz_symbol(FS, lattice, zero_tol)
+    mask, approximant = _project(G, FS, symbol, lattice)
+    return MaskRecovery(mask=mask, residual_hs=hs_norm(G - approximant))
 
 
 @dataclass(eq=False)
@@ -271,18 +264,6 @@ class TauberianReport:
             and self.injective == (len(self.zero_cosets) == 0)
         )
 
-    def to_jsonable(self) -> dict:
-        return {
-            "lattice": _lattice_jsonable(self.lattice),
-            "A": self.lower,
-            "B": self.upper,
-            "zero_cosets": [list(z) for z in self.zero_cosets],
-            "synthesis_rank": self.synthesis_rank,
-            "kernel_dim": self.kernel_dim,
-            "injective": self.injective,
-            "consistent": self.consistent,
-        }
-
 
 def tauberian_diagnostics(
     S, lattice: Lattice, zero_tol: float = ZERO_TOL
@@ -294,7 +275,7 @@ def tauberian_diagnostics(
     equals the number of zero cosets.
     """
     S = as_operator(S, L=lattice.L)
-    report = riesz_report(S, lattice, zero_tol=zero_tol)
+    symbol, zero = _symbol(fourier_wigner(S), lattice, zero_tol)
     sing = np.linalg.svd(synthesis_map(S, lattice).matrix, compute_uv=False)
     if sing.size == 0 or sing[0] == 0.0:
         rank = 0
@@ -302,9 +283,9 @@ def tauberian_diagnostics(
         rank = int(np.count_nonzero(sing > RANK_RTOL * sing[0]))
     return TauberianReport(
         lattice=lattice,
-        lower=report.lower,
-        upper=report.upper,
-        zero_cosets=report.zero_cosets,
+        lower=float(symbol.values.real.min()),
+        upper=float(symbol.values.real.max()),
+        zero_cosets=zero,
         synthesis_rank=rank,
         kernel_dim=lattice.size - rank,
     )
@@ -353,10 +334,10 @@ def underspread_divide(
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
     L = lattice.L
-    quotient = quotient_reps(adjoint_lattice(lattice))
-    points = [reduce_point(z, L) for z in domain]
-    cosets = [quotient.coset_index(z) for z in points]
-    if len(set(cosets)) != len(cosets):
+    rows, cols = _coords(domain)
+    rows, cols = rows % L, cols % L
+    cosets = quotient_reps(adjoint_lattice(lattice)).coset_of[rows, cols]
+    if np.unique(cosets).size != cosets.size:
         raise ValueError(
             "domain meets some adjoint coset twice; not part of a fundamental domain"
         )
@@ -364,20 +345,19 @@ def underspread_divide(
     FS = fourier_wigner(S)
     FT = fourier_wigner(T)
     inside = np.zeros((L, L), dtype=bool)
-    for m, n in points:
-        inside[m, n] = True
+    inside[rows, cols] = True
     spill = np.abs(FS)[~inside]
     if spill.size and spill.max() > SUPPORT_RTOL * max(np.abs(FS).max(), 1e-300):
         raise SupportViolationError(
             "spreading support of S exceeds the declared domain"
         )
-    ft_scale = float(np.abs(FT).max())
-    kappa = lattice.size / L
+    divisor = FT[rows, cols]
+    vanishing = np.flatnonzero(np.abs(divisor) <= zero_tol * float(np.abs(FT).max()))
+    if vanishing.size:
+        i = vanishing[0]
+        raise DivisionByZeroError(
+            f"spreading function of divisor vanishes at {(int(rows[i]), int(cols[i]))}"
+        )
     FA = np.zeros((L, L), dtype=np.complex128)
-    for m, n in points:
-        if abs(FT[m, n]) <= zero_tol * ft_scale:
-            raise DivisionByZeroError(
-                f"spreading function of divisor vanishes at {(m, n)}"
-            )
-        FA[m, n] = 1.0 / (kappa * FT[m, n])
+    FA[rows, cols] = 1.0 / ((lattice.size / L) * divisor)
     return inverse_fourier_wigner(FA)

@@ -45,7 +45,7 @@ from .phase_space import (
     ones_sequence,
     random_sequence,
 )
-from .suite import STANDARD_CASES, run_case
+from .suite import STANDARD_CASES, bump_divisor, run_case
 from .transforms import inverse_fourier_wigner
 from .windows import named_window
 
@@ -102,15 +102,7 @@ def _resolve_tol(args) -> float:
 def parse_lattice_spec(spec: str, L: int) -> Lattice:
     """Either 'a,b' for aZ x bZ or 'gens=m,n;m,n;...'."""
     if spec.startswith("gens="):
-        gens = []
-        for chunk in spec[5:].split(";"):
-            if not chunk:
-                continue
-            coords = chunk.split(",")
-            if len(coords) != 2:
-                raise QhalError(f"bad generator {chunk!r} in lattice spec")
-            gens.append((int(coords[0]), int(coords[1])))
-        return make_general_lattice(gens, L)
+        return make_general_lattice(qio._parse_gens(spec[5:]), L)
     parts = spec.split(",")
     if len(parts) != 2:
         raise QhalError(f"lattice spec must be 'a,b' or 'gens=...', got {spec!r}")
@@ -184,9 +176,7 @@ def _build_operator(spec: str, L: int, lattice, seed: int) -> np.ndarray:
                 )
         return inverse_fourier_wigner(grid)
     if spec == "bump":
-        d = np.minimum(np.arange(L), L - np.arange(L)).astype(float)
-        grid = 0.25 + np.exp(-np.pi * (d[:, None] ** 2 + d[None, :] ** 2) / L)
-        return inverse_fourier_wigner(grid.astype(np.complex128))
+        return bump_divisor(L)
     if spec.startswith("gabor:"):
         parts = spec[6:].split(",")
         if len(parts) != 2:

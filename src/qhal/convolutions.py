@@ -9,6 +9,9 @@ pi(lambda) S pi(lambda)*:
   a sequence, where T' is the parity conjugate of T;
 * sequence * sequence:  ordinary group convolution on Lambda.
 
+All three are computed on the Fourier side, through the modulation law
+and Poisson summation; the sums over translates are kept as test oracles.
+
 The mixed operations form a module structure: c conv (S conv T) equals
 (c conv S) conv T, and (c conv d) conv T equals c conv (d conv T).  A
 bracketing with two operators on the outside fails in general; see
@@ -21,12 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LatticeMismatchError
-from .operators import as_operator, as_signal, parity_conjugate, rank_one, translate
-from .phase_space import Lattice, LatticeSequence
+from .errors import LatticeMismatchError
+from .operators import as_operator, as_signal, rank_one, translate
+from .phase_space import Lattice, LatticeSequence, QuotientFunction
 from .transforms import (
+    _chirp,
+    _series_grid,
+    _spreading,
+    _unspreading,
     adjoint_lattice,
     fourier_wigner,
+    inverse_symplectic_fourier_series,
     lift_quotient_function,
     periodize,
     symplectic_fourier_series,
@@ -47,42 +55,39 @@ __all__ = [
 
 
 def seq_op_conv(c: LatticeSequence, S) -> np.ndarray:
-    """sum_lambda c(lambda) alpha_lambda(S)."""
+    """sum_lambda c(lambda) alpha_lambda(S); V(c conv S) = series(c) V(S)."""
     S = as_operator(S, L=c.lattice.L)
-    out = np.zeros_like(S)
-    for coeff, point in zip(c.values, c.lattice.points):
-        out += coeff * translate(S, point)
-    return out
+    return _unspreading(_series_grid(c) * _spreading(S))
 
 
 def op_op_conv(S, T, lattice: Lattice) -> LatticeSequence:
     """(S conv T)(lambda) = trace(S alpha_lambda(parity_conjugate(T))).
 
     Commutative in (S, T); restricting a larger lattice gives the same
-    values at shared points.
+    values at shared points.  Its series is the product of the spreading
+    functions times the chirp exp(2 pi i m n / L), periodized over the
+    adjoint; this holds for even L too.
     """
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
-    checked = parity_conjugate(T)
-    vals = np.empty(lattice.size, dtype=np.complex128)
-    for i, point in enumerate(lattice.points):
-        # trace(S A) = sum(S * A.T)
-        vals[i] = np.sum(S * translate(checked, point).T)
-    return LatticeSequence(lattice, vals)
+    product = _chirp(lattice.L, 1) * _spreading(S) * _spreading(T)
+    return inverse_symplectic_fourier_series(
+        periodize(product, adjoint_lattice(lattice)), lattice
+    )
 
 
 def seq_seq_conv(c: LatticeSequence, d: LatticeSequence) -> LatticeSequence:
-    """Group convolution on the lattice: (c conv d)(mu) = sum c(nu) d(mu - nu)."""
-    lat = c.lattice
-    if d.lattice != lat:
+    """Group convolution on the lattice: (c conv d)(mu) = sum c(nu) d(mu - nu).
+
+    Computed as the inverse series of the product of the two series.
+    """
+    if d.lattice != c.lattice:
         raise LatticeMismatchError("sequences live on different lattices")
-    L = lat.L
-    vals = np.zeros(lat.size, dtype=np.complex128)
-    for i, (am, an) in enumerate(lat.points):
-        for j, (bm, bn) in enumerate(lat.points):
-            k = lat.index[((am + bm) % L, (an + bn) % L)]
-            vals[k] += c.values[i] * d.values[j]
-    return LatticeSequence(lat, vals)
+    F = symplectic_fourier_series(c)
+    G = symplectic_fourier_series(d)
+    return inverse_symplectic_fourier_series(
+        QuotientFunction(F.quotient, F.values * G.values), c.lattice
+    )
 
 
 def gabor_multiplier(mask: LatticeSequence, phi, xi=None) -> np.ndarray:
@@ -103,10 +108,6 @@ class SynthesisMap:
     lattice: Lattice
     generator: np.ndarray
     matrix: np.ndarray
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        L = self.lattice.L
-        return (self.matrix @ np.asarray(coeffs, dtype=np.complex128)).reshape(L, L)
 
 
 def synthesis_map(S, lattice: Lattice) -> SynthesisMap:

@@ -61,3 +61,7 @@ class FormatError(QhalError):
 
 class DegenerateWindowError(QhalError):
     """A named window failed its build-time non-degeneracy check."""
+
+
+class NonFiniteError(QhalError):
+    """An input array holds NaN or infinite entries."""

@@ -14,6 +14,7 @@ significant digits so a write/read round trip is bit exact:
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -80,16 +81,22 @@ def _parse_header(line: str, magic: str) -> int:
     if not parts[2].startswith("L="):
         raise FormatError(f"missing L= field in header {line!r}")
     try:
-        return int(parts[2][2:])
+        L = int(parts[2][2:])
     except ValueError:
         raise FormatError(f"bad dimension in header {line!r}")
+    if L < 2:
+        raise FormatError(f"dimension must be at least 2 in header {line!r}")
+    return L
 
 
 def _parse_float(token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"bad float {token!r}")
+    if not math.isfinite(value):
+        raise FormatError(f"non-finite float {token!r}")
+    return value
 
 
 def _parse_int(token: str) -> int:
@@ -107,6 +114,19 @@ def dumps_lattice(lattice: Lattice) -> str:
     return f"LATTICE v1\nL={lattice.L}\ngens={gens}\n"
 
 
+def _parse_gens(body: str) -> list[tuple[int, int]]:
+    """Generators written as 'm,n;m,n;...'; empty chunks are skipped."""
+    gens = []
+    for chunk in body.split(";"):
+        if not chunk:
+            continue
+        coords = chunk.split(",")
+        if len(coords) != 2:
+            raise FormatError(f"bad generator {chunk!r}")
+        gens.append((_parse_int(coords[0]), _parse_int(coords[1])))
+    return gens
+
+
 def _parse_lattice_lines(lines: list[str]) -> Lattice:
     if len(lines) < 3 or lines[0] != "LATTICE v1":
         raise FormatError("expected a 'LATTICE v1' record")
@@ -115,16 +135,7 @@ def _parse_lattice_lines(lines: list[str]) -> Lattice:
     L = _parse_int(lines[1][2:])
     if not lines[2].startswith("gens="):
         raise FormatError(f"expected gens=..., got {lines[2]!r}")
-    gens = []
-    body = lines[2][5:]
-    for chunk in body.split(";"):
-        if not chunk:
-            continue
-        coords = chunk.split(",")
-        if len(coords) != 2:
-            raise FormatError(f"bad generator {chunk!r}")
-        gens.append((_parse_int(coords[0]), _parse_int(coords[1])))
-    return make_general_lattice(gens, L)
+    return make_general_lattice(_parse_gens(lines[2][5:]), L)
 
 
 def loads_lattice(text: str) -> Lattice:

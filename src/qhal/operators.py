@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadExponentError, DimensionMismatchError
+from .errors import BadExponentError, DimensionMismatchError, NonFiniteError
 from .phase_space import check_dimension, reduce_point
 
 __all__ = [
@@ -35,6 +35,17 @@ __all__ = [
 RANK_RTOL = 1e-12
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{what} has NaN or infinite entries")
+    return arr
+
+
+def _ramp(n: int, L: int) -> np.ndarray:
+    """exp(2 pi i n t / L) for t = 0..L-1, the exponent reduced mod L first."""
+    return np.exp(2j * np.pi * ((n * np.arange(L)) % L) / L)
+
+
 def as_signal(psi, L: int | None = None) -> np.ndarray:
     """Coerce to a complex length-L vector."""
     vec = np.asarray(psi, dtype=np.complex128)
@@ -43,7 +54,7 @@ def as_signal(psi, L: int | None = None) -> np.ndarray:
     if L is not None and vec.shape[0] != L:
         raise DimensionMismatchError(f"signal has length {vec.shape[0]}, expected {L}")
     check_dimension(vec.shape[0])
-    return vec
+    return _finite(vec, "signal")
 
 
 def as_operator(S, L: int | None = None) -> np.ndarray:
@@ -54,7 +65,7 @@ def as_operator(S, L: int | None = None) -> np.ndarray:
     if L is not None and mat.shape[0] != L:
         raise DimensionMismatchError(f"operator is {mat.shape[0]} x {mat.shape[0]}, expected L={L}")
     check_dimension(mat.shape[0])
-    return mat
+    return _finite(mat, "operator")
 
 
 def tf_shift(z, L: int) -> np.ndarray:
@@ -63,7 +74,7 @@ def tf_shift(z, L: int) -> np.ndarray:
     m, n = reduce_point(z, L)
     t = np.arange(L)
     mat = np.zeros((L, L), dtype=np.complex128)
-    mat[t, (t - m) % L] = np.exp(2j * np.pi * n * t / L)
+    mat[t, (t - m) % L] = _ramp(n, L)
     return mat
 
 
@@ -77,7 +88,7 @@ def translate(S, z) -> np.ndarray:
     L = S.shape[0]
     m, n = reduce_point(z, L)
     rolled = np.roll(np.roll(S, m, axis=0), m, axis=1)
-    ramp = np.exp(2j * np.pi * n * np.arange(L) / L)
+    ramp = _ramp(n, L)
     return rolled * np.outer(ramp, ramp.conj())
 
 

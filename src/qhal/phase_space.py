@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     LatticeMismatchError,
     NonDivisorError,
+    NonFiniteError,
     NotSeparableError,
     ParityError,
 )
@@ -267,6 +268,8 @@ class LatticeSequence:
             raise LatticeMismatchError(
                 f"expected {self.lattice.size} values, got shape {vals.shape}"
             )
+        if not np.isfinite(vals).all():
+            raise NonFiniteError("sequence has NaN or infinite values")
         self.values = vals
 
     def value_at(self, z) -> complex:

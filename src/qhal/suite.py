@@ -29,7 +29,6 @@ from .convolutions import (
     module_associativity_defect,
     op_op_conv,
     seq_op_conv,
-    seq_seq_conv,
     synthesis_map,
 )
 from .operators import (
@@ -41,7 +40,6 @@ from .operators import (
     rank_one,
     schatten_norm,
     tf_shift,
-    translate,
 )
 from .phase_space import (
     LatticeSequence,
@@ -82,15 +80,11 @@ class CheckResult:
         return self.tol is None or self.deviation <= self.tol
 
 
-def _rand_op(L, rng):
-    return random_operator(L, rng)
-
-
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _bump_divisor(L: int) -> np.ndarray:
+def bump_divisor(L: int) -> np.ndarray:
     """Operator whose spreading function is strictly positive everywhere."""
     d = np.minimum(np.arange(L), L - np.arange(L)).astype(float)
     grid = 0.25 + np.exp(-np.pi * (d[:, None] ** 2 + d[None, :] ** 2) / L)
@@ -126,8 +120,8 @@ def run_case(L: int, a: int, b: int, seed: int, zero_tol: float) -> list[CheckRe
     f = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
     add("sdft_involution", _maxabs(symplectic_dft(symplectic_dft(f)) - f), 1e-11)
 
-    S = _rand_op(L, rng)
-    T = _rand_op(L, rng)
+    S = random_operator(L, rng)
+    T = random_operator(L, rng)
     add(
         "fw_roundtrip",
         _maxabs(inverse_fourier_wigner(fourier_wigner(S)) - S),
@@ -144,9 +138,12 @@ def run_case(L: int, a: int, b: int, seed: int, zero_tol: float) -> list[CheckRe
         1e-11,
     )
 
+    # columns of the synthesis matrix are the translates of S, in point order
+    smap = synthesis_map(S, lat)
     sym1 = weyl_symbol(np.eye(L, dtype=np.complex128))
-    lampt = lat.points[min(1, lat.size - 1)]
-    cov = weyl_symbol(translate(S, lampt))
+    k = min(1, lat.size - 1)
+    lampt = lat.points[k]
+    cov = weyl_symbol(smap.matrix[:, k].reshape(L, L))
     shifted = np.roll(np.roll(weyl_symbol(S), lampt[0], axis=0), lampt[1], axis=1)
     wdev = max(
         _maxabs(sym1 - 1.0),
@@ -229,13 +226,10 @@ def run_case(L: int, a: int, b: int, seed: int, zero_tol: float) -> list[CheckRe
         1e-11,
     )
     adjrel = op_op_conv(T, parity_conjugate(np.conj(S.T)), lat)
-    adev = max(
-        abs(adjrel.values[i] - hs_inner(T, translate(S, p)))
-        for i, p in enumerate(lat.points)
-    )
+    adev = _maxabs(adjrel.values - smap.matrix.conj().T @ T.reshape(-1))
     add("adjoint_relation", adev, 1e-11)
 
-    R0 = _rand_op(L, rng)
+    R0 = random_operator(L, rng)
     bracket = abs(
         hs_inner(seq_op_conv(c, S), R0)
         - np.sum(c.values * np.conj(op_op_conv(R0, parity_conjugate(np.conj(S.T)), lat).values))
@@ -263,7 +257,6 @@ def run_case(L: int, a: int, b: int, seed: int, zero_tol: float) -> list[CheckRe
     ) / max(1.0, rep.upper)
     add("gram_spectrum", eig_dev, 1e-9)
 
-    smap = synthesis_map(S, lat)
     sing = np.linalg.svd(smap.matrix, compute_uv=False)
     full_rank = bool(sing[-1] > 1e-12 * sing[0])
     add("rank_condition", 0.0 if full_rank == rep.is_riesz else 1.0, 0.5)
@@ -341,7 +334,7 @@ def run_case(L: int, a: int, b: int, seed: int, zero_tol: float) -> list[CheckRe
         for m, n in domain:
             FW[m, n] = rngd.standard_normal() + 1j * rngd.standard_normal()
         Su = inverse_fourier_wigner(FW)
-        Tu = _bump_divisor(L)
+        Tu = bump_divisor(L)
         A = underspread_divide(Su, Tu, lat, domain, zero_tol=zero_tol)
         recon = seq_op_conv(op_op_conv(Su, Tu, lat), A)
         add("underspread_divide", hs_norm(recon - Su) / hs_norm(Su), 1e-9)

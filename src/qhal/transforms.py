@@ -1,22 +1,25 @@
 """Transforms between operators, phase-space grids and lattice sequences.
 
+Two FFT kernels carry everything here and in the convolutions: the
+spreading function V(S)(m, n) = trace(pi(m, n)* S), one FFT over the
+gathered diagonals of S (``_spreading``, inverted by ``_unspreading``),
+and ``symplectic_dft``, one inverse and one forward FFT.
+
 Normalizations are chosen once and used everywhere:
 
 * ``symplectic_dft`` carries 1/L and is exactly involutive;
 * ``fourier_wigner`` carries no prefactor and sends the identity operator
   to L * delta_0; its inverse carries 1/L;
-* ``symplectic_fourier_series`` is a plain character sum over the lattice,
-  its inverse divides by the number of cosets;
+* ``symplectic_fourier_series`` is the character sum over the lattice,
+  L times the symplectic DFT of the sequence placed on the grid; its
+  inverse divides by the number of cosets;
 * ``periodize`` multiplies by kappa = N_lattice / L, which makes the
   finite Poisson summation formula hold with constant exactly 1.
 
-The Fourier-Wigner transform uses the phase convention
-
-    FW(S)(m, n) = exp(2 pi i * h * m * n / L) * trace(pi(m, n)* S),
-
+The Fourier-Wigner transform is FW(S)(m, n) = exp(2 pi i h m n / L) V(S)(m, n),
 where h = (L + 1) / 2 inverts 2 mod L.  This needs L odd; even L raises
 EvenDimensionError rather than silently picking a square root of a
-character.
+character.  Integer phase exponents are reduced mod L before scaling.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EvenDimensionError, LatticeMismatchError
-from .operators import as_operator, as_signal
+from .operators import as_operator, as_signal, rank_one
 from .phase_space import (
     Lattice,
     LatticeSequence,
@@ -68,70 +71,66 @@ def as_phase_function(f, L: int | None = None) -> np.ndarray:
     return grid
 
 
-def _character_matrix(L: int) -> np.ndarray:
-    """C[a, b] = exp(2 pi i a b / L)."""
-    grid = np.outer(np.arange(L), np.arange(L))
-    return np.exp(2j * np.pi * grid / L)
+def _chirp(L: int, k: int) -> np.ndarray:
+    """exp(2 pi i (k m n mod L) / L) over the grid, gathered from the L roots."""
+    a = np.arange(L)
+    return np.exp(2j * np.pi * a / L)[(k * (np.outer(a, a) % L)) % L]
+
+
+def _diagonals(L: int):
+    """Index pair with S[_diagonals(L)][m, a] = S[a, a - m]."""
+    a = np.arange(L)
+    return a, (a - a[:, None]) % L
+
+
+def _spreading(S: np.ndarray) -> np.ndarray:
+    """V(S)(m, n) = trace(pi(m, n)* S) = sum_a exp(-2 pi i n a / L) S[a, a - m]."""
+    return np.fft.fft(S[_diagonals(S.shape[0])], axis=1)
+
+
+def _unspreading(V: np.ndarray) -> np.ndarray:
+    """The operator whose spreading function is V."""
+    S = np.empty_like(V)
+    S[_diagonals(V.shape[0])] = np.fft.ifft(V, axis=1)
+    return S
+
+
+def _coords(points):
+    """Row and column index arrays of a tuple of phase-space points."""
+    return tuple(np.asarray(points, dtype=np.int64).reshape(-1, 2).T)
 
 
 def stft(psi, phi) -> np.ndarray:
-    """Short-time Fourier transform V_phi(psi)(m, n) = <psi, pi(m, n) phi>.
-
-    Computed densely; entry (m, n) is
-    sum_t psi(t) conj(phi(t - m)) exp(-2 pi i n t / L).
-    """
-    psi = as_signal(psi)
-    phi = as_signal(phi, L=psi.shape[0])
-    L = psi.shape[0]
-    t = np.arange(L)
-    windows = phi[(t[None, :] - t[:, None]) % L]  # row m holds phi(. - m)
-    weighted = psi[None, :] * windows.conj()
-    return weighted @ _character_matrix(L).conj()
+    """Short-time Fourier transform V_phi(psi)(m, n) = <psi, pi(m, n) phi>,
+    the spreading function of the rank-one operator psi tensor phi."""
+    return _spreading(rank_one(psi, phi))
 
 
 def spectrogram_samples(xi, phi, lattice: Lattice) -> LatticeSequence:
     """|V_phi(xi)|^2 sampled on the lattice; values are real nonnegative."""
     xi = as_signal(xi, L=lattice.L)
     full = np.abs(stft(xi, phi)) ** 2
-    vals = np.array([full[m, n] for m, n in lattice.points], dtype=np.complex128)
-    return LatticeSequence(lattice, vals)
+    return LatticeSequence(lattice, full[_coords(lattice.points)])
 
 
 def symplectic_dft(f) -> np.ndarray:
     """F(z) = (1/L) sum_w f(w) exp(-2 pi i sigma(z, w) / L); involutive."""
     f = as_phase_function(f)
-    L = f.shape[0]
-    C = _character_matrix(L)
-    return (C.conj() @ f @ C.T).T / L
+    return np.fft.fft(np.fft.ifft(f, axis=1), axis=0).T
 
 
 def fourier_wigner(S) -> np.ndarray:
-    """Windowed trace transform of an operator on the full phase grid.
-
-    Entry (m, n) is exp(2 pi i h m n / L) sum_a exp(-2 pi i n a / L)
-    S[a, a - m]; the diagonals of S are gathered in O(L^2) and the
-    character sums done as one matrix product.
-    """
+    """Spreading function times the half chirp exp(2 pi i h m n / L)."""
     S = as_operator(S)
     L = S.shape[0]
-    h = half_mod(L)
-    a = np.arange(L)
-    diags = S[a[None, :], (a[None, :] - a[:, None]) % L]  # row m: a -> S[a, a-m]
-    sums = diags @ _character_matrix(L).conj()
-    phase = np.exp(2j * np.pi * h * np.outer(a, a) / L)
-    return phase * sums
+    return _chirp(L, half_mod(L)) * _spreading(S)
 
 
 def inverse_fourier_wigner(F) -> np.ndarray:
     """Reassemble an operator: S = (1/L) sum_z conj-phase F(z) pi(z)."""
     F = as_phase_function(F)
     L = F.shape[0]
-    h = half_mod(L)
-    G = F @ _character_matrix(L)  # G[m, tau] = sum_n F[m, n] e^{2 pi i n tau / L}
-    t = np.arange(L)
-    M = (t[:, None] - t[None, :]) % L
-    TAU = (t[:, None] - h * M) % L
-    return G[M, TAU] / L
+    return _unspreading(np.conj(_chirp(L, half_mod(L))) * F)
 
 
 def weyl_symbol(S) -> np.ndarray:
@@ -139,19 +138,19 @@ def weyl_symbol(S) -> np.ndarray:
     return symplectic_dft(fourier_wigner(S))
 
 
-def _series_kernel(lattice: Lattice, quotient) -> np.ndarray:
-    """K[r, i] = exp(2 pi i sigma(lambda_i, z_r) / L)."""
-    lam = np.asarray(lattice.points, dtype=np.int64)
-    reps = np.asarray(quotient.reps, dtype=np.int64)
-    expo = np.outer(reps[:, 0], lam[:, 1]) - np.outer(reps[:, 1], lam[:, 0])
-    return np.exp(2j * np.pi * expo / lattice.L)
+def _series_grid(c: LatticeSequence) -> np.ndarray:
+    """The symplectic Fourier series of c on the full, adjoint-periodic grid."""
+    L = c.lattice.L
+    grid = np.zeros((L, L), dtype=np.complex128)
+    grid[_coords(c.lattice.points)] = c.values
+    return L * symplectic_dft(grid)
 
 
 def symplectic_fourier_series(c: LatticeSequence) -> QuotientFunction:
-    """Character sum over the lattice, defined on cosets of the adjoint."""
+    """sum_lambda c(lambda) exp(2 pi i sigma(lambda, z) / L), one value per
+    coset of the adjoint."""
     quotient = quotient_reps(adjoint_lattice(c.lattice))
-    K = _series_kernel(c.lattice, quotient)
-    return QuotientFunction(quotient, K @ c.values)
+    return QuotientFunction(quotient, _series_grid(c)[_coords(quotient.reps)])
 
 
 def inverse_symplectic_fourier_series(
@@ -164,20 +163,19 @@ def inverse_symplectic_fourier_series(
             "quotient function lives on "
             f"{F.quotient.lattice!r}, expected the adjoint {adj!r}"
         )
-    K = _series_kernel(lattice, F.quotient)
-    return LatticeSequence(lattice, K.conj().T @ F.values / F.quotient.size)
+    grid = symplectic_dft(lift_quotient_function(F)) / lattice.L
+    return LatticeSequence(lattice, grid[_coords(lattice.points)])
 
 
 def periodize(f, subgroup: Lattice) -> QuotientFunction:
     """Sum a grid over subgroup translates, scaled by kappa = L / |subgroup|."""
     f = as_phase_function(f, L=subgroup.L)
-    L = subgroup.L
     quotient = quotient_reps(subgroup)
-    reps = np.asarray(quotient.reps, dtype=np.int64)
-    acc = np.zeros(quotient.size, dtype=np.complex128)
-    for hm, hn in subgroup.points:
-        acc += f[(reps[:, 0] + hm) % L, (reps[:, 1] + hn) % L]
-    return QuotientFunction(quotient, acc * (L / subgroup.size))
+    cosets = quotient.coset_of.ravel()
+    sums = np.bincount(cosets, f.real.ravel(), quotient.size) + 1j * np.bincount(
+        cosets, f.imag.ravel(), quotient.size
+    )
+    return QuotientFunction(quotient, sums * (subgroup.L / subgroup.size))
 
 
 def lift_quotient_function(F: QuotientFunction) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from qhal import (
     DivisionByZeroError,
     FullLatticeError,
+    NonFiniteError,
     LatticeSequence,
     NotRieszError,
     QuotientFunction,
@@ -23,6 +24,7 @@ from qhal import (
     hs_norm,
     inverse_fourier_wigner,
     inverse_symplectic_fourier_series,
+    make_general_lattice,
     make_separable_lattice,
     nonassociativity_witness,
     op_op_conv,
@@ -40,6 +42,8 @@ from qhal import (
 )
 from qhal.analysis import _checked_star
 from qhal.operators import random_operator, random_signal
+
+import reference as ref
 
 
 def rank_k_operator(L, k, rng):
@@ -63,6 +67,15 @@ def test_riesz_identity_on_full_lattice():
     eigs = np.sort(report.gram_eigenvalues)
     assert np.allclose(eigs[:-1], 0.0, atol=1e-9)
     assert np.isclose(eigs[-1], L**3)
+
+
+def test_zero_tolerance_still_flags_exact_zeros():
+    L = 5
+    lat = make_separable_lattice(1, 1, L)
+    report = riesz_report(np.eye(L), lat, zero_tol=0.0)
+    assert len(report.zero_cosets) == L * L - 1
+    with pytest.raises(NotRieszError):
+        best_approximation(np.eye(L), np.eye(L), lat, zero_tol=0.0)
 
 
 def test_riesz_gaussian_projector_is_riesz():
@@ -120,6 +133,26 @@ def test_gram_matrix_is_translation_invariant_hermitian():
         for j, q in enumerate(lat.points):
             diff = ((p[0] - q[0]) % 9, (p[1] - q[1]) % 9)
             assert abs(G[i, j] - h.value_at(diff)) < 1e-12
+
+
+def test_gram_matrix_general_lattice_matches_translates():
+    rng = np.random.default_rng(130)
+    L = 15
+    lat = make_general_lattice([(3, 1)], L)
+    S = random_operator(L, rng)
+    translates = [ref.translate_slow(S, m, n, L) for m, n in lat.points]
+    want = np.array([[np.vdot(Ti, Tj) for Tj in translates] for Ti in translates])
+    assert np.max(np.abs(gram_matrix(S, lat) - want)) < 1e-11 * hs_norm(S) ** 2
+
+
+def test_riesz_rejects_non_finite_generator():
+    lat = make_separable_lattice(3, 3, 9)
+    S = np.eye(9, dtype=np.complex128)
+    S[2, 5] = np.nan
+    with pytest.raises(NonFiniteError):
+        riesz_report(S, lat)
+    with pytest.raises(NonFiniteError):
+        best_approximation(np.eye(9), S, lat)
 
 
 def test_riesz_positivity_matches_gram_rank():
@@ -228,6 +261,22 @@ def test_best_approximation_matches_least_squares():
     D = synthesis_map(S, lat).matrix
     lsq = np.linalg.lstsq(D, T.reshape(-1), rcond=None)[0]
     assert np.max(np.abs(report.mask.values - lsq)) < 1e-9
+    assert report.mask_agreement < 1e-9
+    assert report.orthogonality_defect < 1e-9
+
+
+def test_best_approximation_general_lattice_matches_least_squares():
+    rng = np.random.default_rng(131)
+    L = 15
+    lat = make_general_lattice([(1, 2)], L)
+    S = rank_k_operator(L, 3, rng)
+    assert riesz_report(S, lat).is_riesz
+    T = random_operator(L, rng)
+    report = best_approximation(T, S, lat)
+    D = synthesis_map(S, lat).matrix
+    lsq = np.linalg.lstsq(D, T.reshape(-1), rcond=None)[0]
+    assert np.max(np.abs(report.mask.values - lsq)) < 1e-9
+    assert np.max(np.abs(report.approximant.reshape(-1) - D @ lsq)) < 1e-9
     assert report.mask_agreement < 1e-9
     assert report.orthogonality_defect < 1e-9
 

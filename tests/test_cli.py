@@ -282,6 +282,21 @@ def test_generated_files_feed_back_into_commands(capsys, tmp_path):
     assert json.loads(out)["A"] > 0
 
 
+def test_riesz_rejects_non_finite_operator_file(capsys, tmp_path):
+    op = tmp_path / "op.txt"
+    code, _, _ = run(capsys, "gen", "--L", "9", "--op", "randomrank:2", "--out", str(op))
+    assert code == 0
+    lines = load_text(op).splitlines()
+    lines[5] = "nan 0"
+    op.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code, out, err = run(
+        capsys, "riesz", "--L", "9", "--lattice", "3,3", "--op", f"file:{op}"
+    )
+    assert code == 1
+    assert out == ""
+    assert "error" in err and "nan" in err
+
+
 def test_unknown_operator_spec_is_config_error(capsys):
     code, _, err = run(
         capsys, "riesz", "--L", "9", "--lattice", "3,3", "--op", "nonsense"

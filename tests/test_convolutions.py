@@ -17,6 +17,7 @@ from qhal import (
     gabor_multiplier,
     hs_inner,
     lift_quotient_function,
+    make_general_lattice,
     make_separable_lattice,
     mixed_associativity_defect,
     module_associativity_defect,
@@ -40,6 +41,16 @@ from qhal import (
 from qhal.operators import random_operator, random_signal
 
 import reference as ref
+
+
+# separable, general and even-L lattices for the oracle comparisons
+ORACLE_LATTICES = (
+    make_separable_lattice(3, 5, 15),
+    make_general_lattice([(3, 1)], 15),
+    make_general_lattice([(1, 2)], 15),
+    make_separable_lattice(2, 4, 8),
+    make_general_lattice([(2, 3)], 12),
+)
 
 
 def basis_vector(t, L):
@@ -69,11 +80,11 @@ def test_seq_op_conv_delta_mask():
 
 def test_seq_op_conv_matches_bruteforce():
     rng = np.random.default_rng(61)
-    lat = make_separable_lattice(3, 5, 15)
-    c = random_sequence(lat, rng)
-    S = random_operator(15, rng)
-    want = ref.seq_op_conv_slow(lat.points, c.values, S, 15)
-    assert np.allclose(seq_op_conv(c, S), want, atol=1e-11)
+    for lat in ORACLE_LATTICES:
+        c = random_sequence(lat, rng)
+        S = random_operator(lat.L, rng)
+        want = ref.seq_op_conv_slow(lat.points, c.values, S, lat.L)
+        assert np.allclose(seq_op_conv(c, S), want, atol=1e-11), lat
 
 
 def test_seq_op_conv_tight_frame_box_window():
@@ -161,11 +172,11 @@ def test_op_op_conv_value_at_zero():
 
 def test_op_op_conv_matches_bruteforce():
     rng = np.random.default_rng(66)
-    lat = make_separable_lattice(3, 5, 15)
-    S, T = random_operator(15, rng), random_operator(15, rng)
-    h = op_op_conv(S, T, lat)
-    want = ref.op_op_conv_slow(S, T, lat.points, 15)
-    assert np.allclose(h.values, want, atol=1e-11)
+    for lat in ORACLE_LATTICES:
+        S, T = random_operator(lat.L, rng), random_operator(lat.L, rng)
+        h = op_op_conv(S, T, lat)
+        want = ref.op_op_conv_slow(S, T, lat.points, lat.L)
+        assert np.allclose(h.values, want, atol=1e-11), lat
 
 
 def test_op_op_conv_commutative():
@@ -277,10 +288,10 @@ def test_seq_seq_conv_commutative_associative():
 
 def test_seq_seq_conv_matches_bruteforce():
     rng = np.random.default_rng(75)
-    lat = make_separable_lattice(5, 3, 15)
-    c, d = random_sequence(lat, rng), random_sequence(lat, rng)
-    want = ref.seq_seq_conv_slow(lat.points, c.values, d.values, 15)
-    assert np.allclose(seq_seq_conv(c, d).values, want, atol=1e-11)
+    for lat in ORACLE_LATTICES:
+        c, d = random_sequence(lat, rng), random_sequence(lat, rng)
+        want = ref.seq_seq_conv_slow(lat.points, c.values, d.values, lat.L)
+        assert np.allclose(seq_seq_conv(c, d).values, want, atol=1e-11), lat
 
 
 def test_seq_seq_conv_checks_lattice():

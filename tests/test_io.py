@@ -113,6 +113,22 @@ def test_operator_rejects_malformed_input():
         loads_operator("QHAL-OP v1 L=2\n1 0\n0 0\n0 0\nbad 0\n")
 
 
+def test_loaders_reject_non_finite_floats():
+    for token in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        with pytest.raises(FormatError):
+            loads_operator(f"QHAL-OP v1 L=2\n1 0\n0 0\n0 {token}\n1 0\n")
+        with pytest.raises(FormatError):
+            loads_signal(f"QHAL-SIG v1 L=2\n{token} 0\n1 0\n")
+
+
+def test_headers_reject_degenerate_dimensions():
+    for L in (0, 1, -3):
+        with pytest.raises(FormatError):
+            loads_operator(f"QHAL-OP v1 L={L}")
+        with pytest.raises(FormatError):
+            loads_signal(f"QHAL-SIG v1 L={L}\n1 0\n")
+
+
 # -- phase functions ---------------------------------------------------------
 
 
@@ -200,6 +216,22 @@ def test_sequence_rejects_wrong_count():
     lines = dumps_sequence(c).splitlines()
     with pytest.raises(FormatError):
         loads_sequence("\n".join(lines[:-1]) + "\n")
+
+
+def test_sequence_rejects_nan_values():
+    # NaN marks a missing entry inside the loader, so a NaN value would
+    # otherwise slip past the duplicate check
+    lat = make_separable_lattice(3, 3, 9)
+    c = LatticeSequence(lat, np.zeros(lat.size, dtype=np.complex128))
+    text = dumps_sequence(c)
+    with pytest.raises(FormatError):
+        loads_sequence(text.replace("\n0 3 0 0\n", "\n0 3 nan 0\n"))
+    with pytest.raises(FormatError):
+        loads_sequence(
+            text.replace("\n0 3 0 0\n", "\n0 3 nan 0\n").replace(
+                "\n0 6 0 0\n", "\n0 3 1 0\n"
+            )
+        )
 
 
 # -- file round-trips --------------------------------------------------------

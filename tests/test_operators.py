@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qhal import (
+    NonFiniteError,
     BadExponentError,
     DimensionMismatchError,
     hs_inner,
@@ -314,6 +315,17 @@ def test_as_signal_checks_shape():
     with pytest.raises(DimensionMismatchError):
         as_signal(np.ones(3), L=5)
     assert as_signal([1, 2, 3]).dtype == np.complex128
+
+
+def test_adapters_reject_non_finite_entries():
+    S = np.eye(3, dtype=np.complex128)
+    S[1, 2] = np.nan
+    with pytest.raises(NonFiniteError):
+        as_operator(S)
+    with pytest.raises(NonFiniteError):
+        as_signal([1.0, np.inf, 0.0])
+    with pytest.raises(NonFiniteError):
+        as_signal([1.0, complex(0.0, -np.inf), 0.0])
 
 
 def test_rank_one_checks_lengths():

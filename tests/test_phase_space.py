@@ -9,6 +9,7 @@ from qhal import (
     Lattice,
     LatticeSequence,
     NonDivisorError,
+    NonFiniteError,
     NotSeparableError,
     ParityError,
     LatticeMismatchError,
@@ -313,6 +314,17 @@ def test_sequence_length_is_checked():
     lat = make_separable_lattice(3, 3, 9)
     with pytest.raises(LatticeMismatchError):
         LatticeSequence(lat, np.ones(4))
+
+
+def test_sequence_rejects_non_finite_values():
+    lat = make_separable_lattice(3, 3, 9)
+    vals = np.zeros(lat.size, dtype=np.complex128)
+    vals[4] = np.nan
+    with pytest.raises(NonFiniteError):
+        LatticeSequence(lat, vals)
+    vals[4] = np.inf
+    with pytest.raises(NonFiniteError):
+        LatticeSequence(lat, vals)
 
 
 def test_shift_sequence_moves_values():

@@ -17,6 +17,7 @@ from qhal import (
     inverse_fourier_wigner,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
+    make_general_lattice,
     make_separable_lattice,
     ones_sequence,
     op_op_conv,
@@ -37,6 +38,16 @@ from qhal import (
 from qhal.operators import hs_inner, random_operator, random_signal
 
 import reference as ref
+
+
+# separable, general and even-L lattices for the oracle comparisons
+ORACLE_LATTICES = (
+    make_separable_lattice(5, 3, 15),
+    make_general_lattice([(3, 1)], 15),
+    make_general_lattice([(1, 2)], 15),
+    make_separable_lattice(2, 4, 8),
+    make_general_lattice([(2, 3)], 12),
+)
 
 
 def basis_vector(t, L):
@@ -265,6 +276,20 @@ def test_fourier_wigner_round_trip():
         assert np.max(np.abs(fourier_wigner(inverse_fourier_wigner(F)) - F)) < 1e-11
 
 
+def test_phases_are_reduced_mod_L_at_large_L():
+    # FW(pi(z)) is the point mass L exp(2 pi i (h m n mod L) / L) at z;
+    # forming the angle from the unreduced product h m n (about 6e6 here)
+    # loses about 1e-11
+    L = 225
+    h = half_mod(L)
+    for m, n in ((224, 223), (113, 200)):
+        want = np.zeros((L, L), dtype=np.complex128)
+        want[m, n] = L * np.exp(2j * np.pi * ((h * m * n) % L) / L)
+        shift = tf_shift((m, n), L)
+        assert np.max(np.abs(fourier_wigner(shift) - want)) < 1e-13 * L
+        assert np.max(np.abs(inverse_fourier_wigner(want) - shift)) < 1e-13
+
+
 def test_inverse_fourier_wigner_matches_bruteforce():
     rng = np.random.default_rng(45)
     L = 5
@@ -313,11 +338,13 @@ def test_series_convolution_theorem():
 
 def test_series_matches_bruteforce():
     rng = np.random.default_rng(48)
-    lat = make_separable_lattice(5, 3, 15)
-    c = random_sequence(lat, rng)
-    F = symplectic_fourier_series(c)
-    want = ref.series_slow(lat.points, c.values, F.quotient.reps, lat.L)
-    assert np.allclose(F.values, want, atol=1e-11)
+    for lat in ORACLE_LATTICES:
+        c = random_sequence(lat, rng)
+        F = symplectic_fourier_series(c)
+        want = ref.series_slow(lat.points, c.values, F.quotient.reps, lat.L)
+        assert np.allclose(F.values, want, atol=1e-11), lat
+        back = inverse_symplectic_fourier_series(F, lat)
+        assert np.allclose(back.values, c.values, atol=1e-12), lat
 
 
 def test_series_well_defined_on_cosets():
@@ -410,14 +437,13 @@ def test_periodize_of_constant():
 
 def test_periodize_matches_bruteforce():
     rng = np.random.default_rng(53)
-    L = 15
-    lat = make_separable_lattice(3, 5, L)
-    sub = adjoint_lattice(lat)
-    f = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
-    out = periodize(f, sub)
-    want = ref.periodize_slow(f, sub.points, out.quotient.reps, L)
-    want = np.asarray(want) * (lat.size / L)
-    assert np.allclose(out.values, want, atol=1e-11)
+    for lat in ORACLE_LATTICES:
+        L = lat.L
+        sub = adjoint_lattice(lat)
+        f = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+        out = periodize(f, sub)
+        want = ref.periodize_slow(f, sub.points, out.quotient.reps, L)
+        assert np.allclose(out.values, want, atol=1e-11), lat
 
 
 def test_poisson_summation_exact():
