@@ -42,7 +42,6 @@ from .phase_space import (
     quotient_reps,
 )
 from .transforms import (
-    _coords,
     fourier_wigner,
     inverse_fourier_wigner,
     inverse_symplectic_fourier_series,
@@ -81,8 +80,9 @@ def _symbol(FS: np.ndarray, lattice: Lattice, zero_tol: float):
     """The symbol of the generator with FW(S) = FS, and its zero cosets."""
     symbol = periodize(np.abs(FS) ** 2, adjoint_lattice(lattice))
     vals = symbol.values.real  # exactly nonnegative, so zero_tol=0 flags exact zeros
-    zero = np.flatnonzero(vals <= zero_tol * vals.max())
-    return symbol, tuple(symbol.quotient.reps[i] for i in zero)
+    zero = vals <= zero_tol * vals.max()
+    rows, cols = symbol.quotient.coords
+    return symbol, tuple(zip(rows[zero].tolist(), cols[zero].tolist()))
 
 
 def _riesz_symbol(FS: np.ndarray, lattice: Lattice, zero_tol: float):
@@ -126,7 +126,7 @@ def gram_matrix(S, lattice: Lattice) -> np.ndarray:
     S = as_operator(S, L=lattice.L)
     L = lattice.L
     h = op_op_conv(S, _checked_star(S), lattice)
-    rows, cols = _coords(lattice.points)
+    rows, cols = lattice.coords
     grid = np.zeros((L, L), dtype=np.complex128)
     grid[rows, cols] = h.values
     flat = (rows * (2 * L) + cols).astype(np.int32)
@@ -334,8 +334,7 @@ def underspread_divide(
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
     L = lattice.L
-    rows, cols = _coords(domain)
-    rows, cols = rows % L, cols % L
+    rows, cols = np.asarray(domain, dtype=np.int64).reshape(-1, 2).T % L
     cosets = quotient_reps(adjoint_lattice(lattice)).coset_of[rows, cols]
     if np.unique(cosets).size != cosets.size:
         raise ValueError(

@@ -273,9 +273,9 @@ def loads_sequence(text: str) -> LatticeSequence:
         if len(parts) != 4:
             raise FormatError(f"expected '<m> <n> <re> <im>', got {line!r}")
         point = (_parse_int(parts[0]) % lattice.L, _parse_int(parts[1]) % lattice.L)
-        if point not in lattice.index:
+        inside, idx = lattice.locate(*point)
+        if not inside:
             raise FormatError(f"point {point} is outside the lattice record")
-        idx = lattice.index[point]
         if not np.isnan(vals[idx].real):
             raise FormatError(f"duplicate value for point {point}")
         vals[idx] = complex(_parse_float(parts[2]), _parse_float(parts[3]))

@@ -36,7 +36,8 @@ RANK_RTOL = 1e-12
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    # scanning the float view of complex entries is about twice as fast
+    if not np.isfinite(arr.ravel().view(np.float64)).all():
         raise NonFiniteError(f"{what} has NaN or infinite entries")
     return arr
 

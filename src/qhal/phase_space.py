@@ -1,13 +1,13 @@
 """The finite phase space Z_L x Z_L, its lattice subgroups and quotients.
 
-Points are plain ``(m, n)`` integer tuples reduced mod L.  The symplectic
-form is
-
-    sigma((m, n), (m', n')) = (n * m' - m * n') mod L,
-
-and a lattice is any subgroup of Z_L x Z_L.  The adjoint lattice of a
-subgroup collects the points at which every character attached to the
-subgroup is trivial; sizes always satisfy N * N_adjoint = L**2.
+Points are ``(m, n)`` integer pairs reduced mod L, and the symplectic form
+is sigma((m, n), (m', n')) = (n * m' - m * n') mod L.  A lattice is any
+subgroup H of Z_L x Z_L.  It is stored by its canonical basis: H is
+generated by (a, c) and (0, b) for exactly one triple with a | L, b | L,
+0 <= c < b and b | (L / a) c (Hampejs, Holighaus, Toth & Wiesmeyr,
+"Representing and counting the subgroups of the group Z_m x Z_n", 2014).
+Points, positions, the adjoint lattice (sizes satisfy N * N_adjoint = L**2)
+and the quotient transversal all follow in closed form.
 
 Sequences indexed by a lattice and functions on a quotient Z_L^2 / H are
 small array-carrying records defined here so the transform and convolution
@@ -56,9 +56,13 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_dimension(L: int) -> int:
     """Validate an ambient dimension and return it as a plain int."""
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)):
+    if not _is_int(L):
         raise ValueError(f"dimension must be an integer, got {L!r}")
     if L < 2:
         raise ValueError(f"dimension must be at least 2, got {L}")
@@ -78,16 +82,33 @@ def symplectic_form(z, w, L: int) -> int:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A subgroup of Z_L x Z_L with a fixed, sorted point enumeration.
+    """The subgroup of Z_L x Z_L generated by (a, c) and (0, b).
 
-    Equality and hashing use ``(L, points)`` only; the stored generator
-    list is a convenience for serialization and may differ between equal
-    lattices.
+    Its points are (i a, (i c mod b) + k b) for i < L / a and k < L / b, in
+    this order, which is also their sorted order.  ``coords`` holds them as
+    two int arrays; the tuple ``points`` and the dict ``index`` are built on
+    first use.  Equality and hashing use ``(L, a, c, b)`` only; the stored
+    generator list is a convenience for serialization and may differ
+    between equal lattices.
     """
 
     L: int
-    points: tuple[PhasePoint, ...]
+    a: int
+    c: int
+    b: int
     generators: tuple[PhasePoint, ...] = field(compare=False)
+
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column arrays of the points, in point order."""
+        i, k = np.divmod(np.arange(self.size), self.L // self.b)
+        coords = np.stack([i * self.a, i * self.c % self.b + k * self.b])
+        coords.flags.writeable = False
+        return tuple(coords)
+
+    @cached_property
+    def points(self) -> tuple[PhasePoint, ...]:
+        return tuple(zip(*np.array(self.coords).tolist()))
 
     @cached_property
     def index(self) -> dict[PhasePoint, int]:
@@ -95,7 +116,7 @@ class Lattice:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return (self.L // self.a) * (self.L // self.b)
 
     @property
     def covolume(self) -> Fraction:
@@ -105,126 +126,120 @@ class Lattice:
     def is_full(self) -> bool:
         return self.size == self.L * self.L
 
+    def locate(self, m, n):
+        """(inside, position) of (m, n) in [0, L), as ints or int arrays.
+
+        Inside iff m = i a and n = i c mod b; the position is i (L / b) + n // b.
+        """
+        i, r = divmod(m, self.a)
+        inside = (r == 0) & ((n - i * self.c) % self.b == 0)
+        return inside, i * (self.L // self.b) + n // self.b
+
     def contains(self, z) -> bool:
-        return reduce_point(z, self.L) in self.index
+        return bool(self.locate(*reduce_point(z, self.L))[0])
 
     def __repr__(self) -> str:  # keep reprs short; point lists get long
         gens = ";".join(f"{m},{n}" for m, n in self.generators)
         return f"Lattice(L={self.L}, size={self.size}, gens={gens})"
 
 
-def _closure(gens: tuple[PhasePoint, ...], L: int) -> set[PhasePoint]:
-    points = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            nxt = ((base[0] + g[0]) % L, (base[1] + g[1]) % L)
-            if nxt not in points:
-                points.add(nxt)
-                frontier.append(nxt)
-    return points
+def _lattice(gens: tuple[PhasePoint, ...], L: int) -> Lattice:
+    """The canonical basis of the subgroup generated by gens (reduced mod L).
 
-
-def _small_generating_set(points: list[PhasePoint], L: int) -> tuple[PhasePoint, ...]:
-    chosen: list[PhasePoint] = []
-    span = {(0, 0)}
-    for p in points:
-        if p not in span:
-            chosen.append(p)
-            span = _closure(tuple(chosen), L)
-    return tuple(chosen) if chosen else ((0, 0),)
+    From the rows (L, 0), (0, L), Euclid's algorithm on the first column of
+    (a, c) and each (x, y) leaves (gcd(a, x), .) and a multiple of (0, 1).
+    """
+    a, c, b = L, 0, L
+    for x, y in gens:
+        while x:
+            q = a // x
+            (a, c), (x, y) = (x, y), (a - q * x, c - q * y)
+        b = gcd(b, y)
+    return Lattice(L=L, a=a, c=c % b, b=b, generators=gens)
 
 
 def make_separable_lattice(a: int, b: int, L: int) -> Lattice:
-    """The product lattice aZ x bZ; both steps must divide L."""
+    """The product lattice aZ x bZ, the case c = 0; both steps must divide L."""
     L = check_dimension(L)
     for step in (a, b):
-        if not isinstance(step, (int, np.integer)) or step < 1:
+        if not _is_int(step) or step < 1:
             raise ValueError(f"lattice step must be a positive integer, got {step!r}")
         if L % step != 0:
             raise NonDivisorError(f"step {step} does not divide L={L}")
-    points = tuple(
-        sorted((a * i % L, b * j % L) for i in range(L // a) for j in range(L // b))
-    )
-    return Lattice(L=L, points=points, generators=((a % L, 0), (0, b % L)))
+    return _lattice(((int(a) % L, 0), (0, int(b) % L)), L)
 
 
 def make_general_lattice(gens, L: int) -> Lattice:
-    """The subgroup generated by an arbitrary list of points."""
+    """The subgroup generated by an arbitrary list of integer points."""
     L = check_dimension(L)
-    reduced = tuple(reduce_point(g, L) for g in gens)
-    if not reduced:
-        reduced = ((0, 0),)
-    points = tuple(sorted(_closure(reduced, L)))
-    return Lattice(L=L, points=points, generators=reduced)
+    gens = tuple(gens)
+    if not all(_is_int(x) for g in gens for x in g):
+        raise ValueError(f"generator coordinates must be integers, got {gens!r}")
+    return _lattice(tuple(reduce_point(g, L) for g in gens) or ((0, 0),), L)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def adjoint_lattice(lattice: Lattice) -> Lattice:
     """Points whose symplectic character is trivial on the whole lattice.
 
-    Bilinearity of sigma means annihilating the generators suffices.
+    Pairing with (0, b) forces m = j L / b, then pairing with (a, c) forces
+    n = j (L / a) c / b mod L / a.  Generators: (0, L / a), (L / b, c').
     """
-    L = lattice.L
-    gens = lattice.generators
-    points = [
-        (m, n)
-        for m in range(L)
-        for n in range(L)
-        if all(symplectic_form((m, n), g, L) == 0 for g in gens)
-    ]
-    return Lattice(
-        L=L, points=tuple(points), generators=_small_generating_set(points, L)
-    )
+    L, a, b = lattice.L, lattice.L // lattice.b, lattice.L // lattice.a
+    c = (L // lattice.a) * lattice.c // lattice.b % b
+    gens = tuple(g for g, step in (((0, b), b), ((a, c), a)) if step < L)
+    return Lattice(L=L, a=a, c=c, b=b, generators=gens or ((0, 0),))
 
 
 @dataclass(frozen=True, eq=False)
 class QuotientIndex:
-    """An explicit transversal of Z_L x Z_L modulo a subgroup.
+    """The box transversal {0..a-1} x {0..b-1} of Z_L x Z_L modulo a subgroup.
 
-    ``coset_of[m, n]`` is the position in ``reps`` of the coset through
-    ``(m, n)``, so reducing a point costs one array lookup.
+    ``coset_of[m, n]`` is the position in the row-major box of the coset
+    through ``(m, n)``.  ``coords`` holds the box as two int arrays; the
+    tuple ``reps`` is built on first use.
     """
 
     lattice: Lattice
-    reps: tuple[PhasePoint, ...]
     coset_of: np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.reps)
+        return self.lattice.a * self.lattice.b
+
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        coords = np.stack(np.divmod(np.arange(self.size), self.lattice.b))
+        coords.flags.writeable = False
+        return tuple(coords)
+
+    @cached_property
+    def reps(self) -> tuple[PhasePoint, ...]:
+        return tuple(zip(*np.array(self.coords).tolist()))
 
     def coset_index(self, z) -> int:
         m, n = reduce_point(z, self.lattice.L)
         return int(self.coset_of[m, n])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def quotient_reps(subgroup: Lattice) -> QuotientIndex:
-    """Row-major-first transversal of Z_L x Z_L modulo the given subgroup."""
-    L = subgroup.L
-    coset_of = np.full((L, L), -1, dtype=np.int64)
-    reps: list[PhasePoint] = []
-    for m in range(L):
-        for n in range(L):
-            if coset_of[m, n] >= 0:
-                continue
-            idx = len(reps)
-            reps.append((m, n))
-            for hm, hn in subgroup.points:
-                coset_of[(m + hm) % L, (n + hn) % L] = idx
-    return QuotientIndex(lattice=subgroup, reps=tuple(reps), coset_of=coset_of)
+    """The box transversal of Z_L x Z_L modulo the subgroup, with ``coset_of``.
+
+    Subtracting floor(m / a) (a, c) moves (m, n) to (m mod a, .), and (0, b)
+    reduces the second coordinate mod b.  Each box point comes first in its
+    coset in row-major order.
+    """
+    L, a, c, b = subgroup.L, subgroup.a, subgroup.c, subgroup.b
+    m = np.arange(L)[:, None]
+    coset_of = (m % a) * b + (np.arange(L) - (m // a) * c) % b
+    coset_of.flags.writeable = False
+    return QuotientIndex(lattice=subgroup, coset_of=coset_of)
 
 
 def separable_profile(lattice: Lattice):
     """Return (a, b) if the lattice equals aZ x bZ, else None."""
-    L = lattice.L
-    a = functools.reduce(gcd, (m for m, _ in lattice.points), L)
-    b = functools.reduce(gcd, (n for _, n in lattice.points), L)
-    if lattice.size * a * b == L * L:
-        return (a, b)
-    return None
+    return (lattice.a, lattice.b) if lattice.c == 0 else None
 
 
 def fundamental_domain(
@@ -241,18 +256,19 @@ def fundamental_domain(
             f"{subgroup!r} is not a product lattice; no box transversal exists"
         )
     a, b = profile
-    if centered:
-        if a % 2 == 0 or b % 2 == 0:
-            raise ParityError(
-                f"centered box needs odd side lengths, got {a} x {b}"
-            )
-        rows = range(-(a // 2), a // 2 + 1)
-        cols = range(-(b // 2), b // 2 + 1)
-    else:
-        rows = range(a)
-        cols = range(b)
-    L = subgroup.L
-    return tuple((i % L, j % L) for i in rows for j in cols)
+    if centered and (a % 2 == 0 or b % 2 == 0):
+        raise ParityError(f"centered box needs odd side lengths, got {a} x {b}")
+    h, k, L = a // 2 * centered, b // 2 * centered, subgroup.L
+    return tuple(((i - h) % L, (j - k) % L) for i in range(a) for j in range(b))
+
+
+def _values(values, size: int, what: str) -> np.ndarray:
+    vals = np.asarray(values, dtype=np.complex128)
+    if vals.shape != (size,):
+        raise LatticeMismatchError(f"expected {size} values, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise NonFiniteError(f"{what} has NaN or infinite values")
+    return vals
 
 
 @dataclass(eq=False)
@@ -263,24 +279,14 @@ class LatticeSequence:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.lattice.size,):
-            raise LatticeMismatchError(
-                f"expected {self.lattice.size} values, got shape {vals.shape}"
-            )
-        if not np.isfinite(vals).all():
-            raise NonFiniteError("sequence has NaN or infinite values")
-        self.values = vals
+        self.values = _values(self.values, self.lattice.size, "sequence")
 
     def value_at(self, z) -> complex:
         key = reduce_point(z, self.lattice.L)
-        try:
-            return complex(self.values[self.lattice.index[key]])
-        except KeyError:
+        inside, position = self.lattice.locate(*key)
+        if not inside:
             raise LatticeMismatchError(f"point {key} is not in {self.lattice!r}")
-
-    def copy(self) -> "LatticeSequence":
-        return LatticeSequence(self.lattice, self.values.copy())
+        return complex(self.values[position])
 
 
 @dataclass(eq=False)
@@ -291,12 +297,7 @@ class QuotientFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.quotient.size,):
-            raise LatticeMismatchError(
-                f"expected {self.quotient.size} values, got shape {vals.shape}"
-            )
-        self.values = vals
+        self.values = _values(self.values, self.quotient.size, "quotient function")
 
     def value_at(self, z) -> complex:
         return complex(self.values[self.quotient.coset_index(z)])
@@ -304,7 +305,7 @@ class QuotientFunction:
 
 def delta_sequence(lattice: Lattice) -> LatticeSequence:
     vals = np.zeros(lattice.size, dtype=np.complex128)
-    vals[lattice.index[(0, 0)]] = 1.0
+    vals[0] = 1.0  # the origin is the first point
     return LatticeSequence(lattice, vals)
 
 
@@ -321,10 +322,8 @@ def shift_sequence(c: LatticeSequence, z) -> LatticeSequence:
     """Translate a sequence by a lattice point: result(mu) = c(mu - z)."""
     lat = c.lattice
     shift = reduce_point(z, lat.L)
-    if shift not in lat.index:
+    if not lat.contains(shift):
         raise LatticeMismatchError(f"shift {shift} is not in {lat!r}")
-    vals = np.empty_like(c.values)
-    for i, (m, n) in enumerate(lat.points):
-        target = ((m + shift[0]) % lat.L, (n + shift[1]) % lat.L)
-        vals[lat.index[target]] = c.values[i]
-    return LatticeSequence(lat, vals)
+    rows, cols = lat.coords
+    _, source = lat.locate((rows - shift[0]) % lat.L, (cols - shift[1]) % lat.L)
+    return LatticeSequence(lat, c.values[source])

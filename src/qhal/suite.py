@@ -106,7 +106,6 @@ def run_case(L: int, a: int, b: int, seed: int, zero_tol: float) -> list[CheckRe
     dual_ok = adjoint_lattice(adj) == lat and lat.size * adj.size == L * L
     add("adjoint_duality", 0.0 if dual_ok else 1.0, 0.5)
 
-    lam = np.asarray(lat.points)
     mm, nn = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
     sums = np.zeros((L, L), dtype=np.complex128)
     for lm, ln in lat.points:

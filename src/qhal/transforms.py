@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EvenDimensionError, LatticeMismatchError
-from .operators import as_operator, as_signal, rank_one
+from .operators import _finite, as_operator, as_signal, rank_one
 from .phase_space import (
     Lattice,
     LatticeSequence,
@@ -62,13 +62,13 @@ def half_mod(L: int) -> int:
 
 
 def as_phase_function(f, L: int | None = None) -> np.ndarray:
-    """Coerce to a complex (L, L) grid indexed [time, frequency]."""
+    """Coerce to a finite complex (L, L) grid indexed [time, frequency]."""
     grid = np.asarray(f, dtype=np.complex128)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise LatticeMismatchError(f"phase function must be square, got {grid.shape}")
     if L is not None and grid.shape[0] != L:
         raise LatticeMismatchError(f"phase function is {grid.shape}, expected L={L}")
-    return grid
+    return _finite(grid, "phase function")
 
 
 def _chirp(L: int, k: int) -> np.ndarray:
@@ -95,11 +95,6 @@ def _unspreading(V: np.ndarray) -> np.ndarray:
     return S
 
 
-def _coords(points):
-    """Row and column index arrays of a tuple of phase-space points."""
-    return tuple(np.asarray(points, dtype=np.int64).reshape(-1, 2).T)
-
-
 def stft(psi, phi) -> np.ndarray:
     """Short-time Fourier transform V_phi(psi)(m, n) = <psi, pi(m, n) phi>,
     the spreading function of the rank-one operator psi tensor phi."""
@@ -110,7 +105,7 @@ def spectrogram_samples(xi, phi, lattice: Lattice) -> LatticeSequence:
     """|V_phi(xi)|^2 sampled on the lattice; values are real nonnegative."""
     xi = as_signal(xi, L=lattice.L)
     full = np.abs(stft(xi, phi)) ** 2
-    return LatticeSequence(lattice, full[_coords(lattice.points)])
+    return LatticeSequence(lattice, full[lattice.coords])
 
 
 def symplectic_dft(f) -> np.ndarray:
@@ -142,7 +137,7 @@ def _series_grid(c: LatticeSequence) -> np.ndarray:
     """The symplectic Fourier series of c on the full, adjoint-periodic grid."""
     L = c.lattice.L
     grid = np.zeros((L, L), dtype=np.complex128)
-    grid[_coords(c.lattice.points)] = c.values
+    grid[c.lattice.coords] = c.values
     return L * symplectic_dft(grid)
 
 
@@ -150,7 +145,7 @@ def symplectic_fourier_series(c: LatticeSequence) -> QuotientFunction:
     """sum_lambda c(lambda) exp(2 pi i sigma(lambda, z) / L), one value per
     coset of the adjoint."""
     quotient = quotient_reps(adjoint_lattice(c.lattice))
-    return QuotientFunction(quotient, _series_grid(c)[_coords(quotient.reps)])
+    return QuotientFunction(quotient, _series_grid(c)[quotient.coords])
 
 
 def inverse_symplectic_fourier_series(
@@ -164,7 +159,7 @@ def inverse_symplectic_fourier_series(
             f"{F.quotient.lattice!r}, expected the adjoint {adj!r}"
         )
     grid = symplectic_dft(lift_quotient_function(F)) / lattice.L
-    return LatticeSequence(lattice, grid[_coords(lattice.points)])
+    return LatticeSequence(lattice, grid[lattice.coords])
 
 
 def periodize(f, subgroup: Lattice) -> QuotientFunction:

@@ -128,3 +128,43 @@ def adjoint_points_slow(points, L):
             if all((n * lm - m * ln) % L == 0 for lm, ln in points):
                 out.append((m, n))
     return out
+
+
+def closure_slow(gens, L):
+    """The subgroup generated by gens, grown point by point from the origin."""
+    points = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            nxt = ((base[0] + g[0]) % L, (base[1] + g[1]) % L)
+            if nxt not in points:
+                points.add(nxt)
+                frontier.append(nxt)
+    return points
+
+
+def generating_set_slow(points, L):
+    """Greedy generators: each point not yet spanned joins the set."""
+    chosen = []
+    span = {(0, 0)}
+    for p in points:
+        if p not in span:
+            chosen.append(p)
+            span = closure_slow(tuple(chosen), L)
+    return tuple(chosen) if chosen else ((0, 0),)
+
+
+def quotient_slow(points, L):
+    """Row-major-first transversal and the coset of every grid point."""
+    coset_of = np.full((L, L), -1, dtype=np.int64)
+    reps = []
+    for m in range(L):
+        for n in range(L):
+            if coset_of[m, n] >= 0:
+                continue
+            idx = len(reps)
+            reps.append((m, n))
+            for hm, hn in points:
+                coset_of[(m + hm) % L, (n + hn) % L] = idx
+    return tuple(reps), coset_of

@@ -11,8 +11,11 @@ from qhal import (
     DimensionMismatchError,
     hs_inner,
     hs_norm,
+    inverse_fourier_wigner,
+    make_separable_lattice,
     operator_rank,
     parity_conjugate,
+    periodize,
     rank_one,
     schatten_norm,
     tf_shift,
@@ -20,6 +23,7 @@ from qhal import (
     weyl_symbol,
 )
 from qhal.operators import as_operator, as_signal, random_operator, random_signal
+from qhal.transforms import as_phase_function
 
 import reference as ref
 
@@ -326,6 +330,17 @@ def test_adapters_reject_non_finite_entries():
         as_signal([1.0, np.inf, 0.0])
     with pytest.raises(NonFiniteError):
         as_signal([1.0, complex(0.0, -np.inf), 0.0])
+    with pytest.raises(NonFiniteError):
+        as_operator(S.T)
+    with pytest.raises(NonFiniteError):
+        as_signal(np.array([np.nan, 1.0, 0.0, 2.0, 1.0, 3.0])[::2])
+    assert as_signal(np.arange(6.0)[::2]).shape == (3,)
+    with pytest.raises(NonFiniteError):
+        as_phase_function(np.full((5, 5), np.nan))
+    with pytest.raises(NonFiniteError):
+        inverse_fourier_wigner(np.full((5, 5), np.nan))
+    with pytest.raises(NonFiniteError):
+        periodize(np.full((5, 5), np.inf), make_separable_lattice(1, 5, 5))
 
 
 def test_rank_one_checks_lengths():

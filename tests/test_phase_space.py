@@ -13,6 +13,7 @@ from qhal import (
     NotSeparableError,
     ParityError,
     LatticeMismatchError,
+    QuotientFunction,
     adjoint_lattice,
     delta_sequence,
     fundamental_domain,
@@ -82,6 +83,12 @@ def test_reduce_point_and_dimension_guard():
         check_dimension(1)
     with pytest.raises(ValueError):
         check_dimension(2.5)
+    with pytest.raises(ValueError):
+        make_separable_lattice(True, 5, 5)
+    with pytest.raises(ValueError):
+        make_general_lattice([(1.5, 0)], 5)
+    with pytest.raises(ValueError):
+        make_general_lattice([("1", 0)], 5)
 
 
 # -- lattice constructors ----------------------------------------------------
@@ -149,6 +156,15 @@ def test_lattice_equality_ignores_generator_choice():
     b = make_general_lattice([(0, 3), (3, 0), (3, 3)], 9)
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_lattice_caches_are_bounded_and_keyed_on_the_basis():
+    assert adjoint_lattice.cache_info().maxsize is not None
+    assert quotient_reps.cache_info().maxsize is not None
+    one = make_separable_lattice(3, 3, 9)
+    two = make_general_lattice([(0, 3), (3, 0), (3, 3)], 9)
+    assert (one.a, one.c, one.b) == (two.a, two.c, two.b) == (3, 0, 3)
+    assert quotient_reps(one) is quotient_reps(two)
 
 
 def test_separable_profile():
@@ -325,6 +341,9 @@ def test_sequence_rejects_non_finite_values():
     vals[4] = np.inf
     with pytest.raises(NonFiniteError):
         LatticeSequence(lat, vals)
+    q = quotient_reps(lat)
+    with pytest.raises(NonFiniteError):
+        QuotientFunction(q, np.full(q.size, np.nan))
 
 
 def test_shift_sequence_moves_values():
