@@ -1,8 +1,10 @@
 """Diagnostics and inversion built on the Fourier side of the convolutions.
 
-Central object: for a generator S and lattice Lambda, the symbol
+Everything here runs on the spreading function V(S) and the integer chirp
+chi(m, n) = exp(2 pi i m n / L), so it holds at every L (at odd L, |FW| = |V|
+and the half chirp squares to chi).  Central object: the symbol of S on Lambda,
 
-    F(coset) = periodize(|FW(S)|^2, adjoint)
+    F(coset) = periodize(|V(S)|^2, adjoint)
 
 is real and nonnegative, and its values over the cosets of the adjoint
 lattice are exactly the eigenvalues of the Gram matrix of the translates
@@ -38,12 +40,14 @@ from .phase_space import (
     LatticeSequence,
     PhasePoint,
     QuotientFunction,
+    _is_int,
     adjoint_lattice,
     quotient_reps,
 )
 from .transforms import (
-    fourier_wigner,
-    inverse_fourier_wigner,
+    _chirp,
+    _spreading,
+    _unspreading,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
     periodize,
@@ -76,41 +80,47 @@ def _checked_star(S: np.ndarray) -> np.ndarray:
     return parity_conjugate(np.conj(S.T))
 
 
-def _symbol(FS: np.ndarray, lattice: Lattice, zero_tol: float):
-    """The symbol of the generator with FW(S) = FS, and its zero cosets."""
-    symbol = periodize(np.abs(FS) ** 2, adjoint_lattice(lattice))
+def _check_tol(zero_tol) -> None:
+    if not 0 <= zero_tol < np.inf:  # NaN, inf or < 0 turns the zero test off
+        raise ValueError(f"zero_tol must be a finite real >= 0, got {zero_tol!r}")
+
+
+def _symbol(VS: np.ndarray, lattice: Lattice, zero_tol: float):
+    """The symbol of the generator with V(S) = VS, and its zero cosets."""
+    _check_tol(zero_tol)
+    symbol = periodize(np.abs(VS) ** 2, adjoint_lattice(lattice))
     vals = symbol.values.real  # exactly nonnegative, so zero_tol=0 flags exact zeros
     zero = vals <= zero_tol * vals.max()
     rows, cols = symbol.quotient.coords
     return symbol, tuple(zip(rows[zero].tolist(), cols[zero].tolist()))
 
 
-def _riesz_symbol(FS: np.ndarray, lattice: Lattice, zero_tol: float):
+def _riesz_symbol(VS: np.ndarray, lattice: Lattice, zero_tol: float):
     """The symbol, refusing generators whose translates are not Riesz."""
-    symbol, zero = _symbol(FS, lattice, zero_tol)
+    symbol, zero = _symbol(VS, lattice, zero_tol)
     if zero:
         raise NotRieszError(
-            f"symbol vanishes on {len(zero)} cosets; "
-            "no biorthogonal generator exists"
+            f"symbol vanishes on {len(zero)} cosets; no biorthogonal generator exists"
         )
     return symbol
 
 
-def _dual(FS: np.ndarray, symbol: QuotientFunction) -> np.ndarray:
-    """The biorthogonal generator: FW(R) = conj(FW(S)) / symbol."""
-    return inverse_fourier_wigner(np.conj(FS) / lift_quotient_function(symbol))
+def _dual(VS: np.ndarray, symbol: QuotientFunction) -> np.ndarray:
+    """The biorthogonal generator: V(R) = conj(chi V(S)) / symbol."""
+    chi = _chirp(VS.shape[0], 1)
+    return _unspreading(np.conj(chi * VS) / lift_quotient_function(symbol))
 
 
-def _project(T: np.ndarray, FS: np.ndarray, symbol: QuotientFunction, lattice):
+def _project(T: np.ndarray, VS: np.ndarray, symbol: QuotientFunction, lattice):
     """Mask and approximant of the orthogonal projection of T onto the span.
 
-    The mask's series is periodize(FW(T) conj(FW(S))) / symbol, and the
-    approximant's Fourier-Wigner transform is that series times FW(S).
+    The mask's series is periodize(V(T) conj(V(S))) / symbol, and the
+    approximant's spreading function is that series times V(S).
     """
-    cross = periodize(fourier_wigner(T) * np.conj(FS), symbol.quotient.lattice)
+    cross = periodize(_spreading(T) * np.conj(VS), symbol.quotient.lattice)
     ratio = QuotientFunction(cross.quotient, cross.values / symbol.values)
     mask = inverse_symplectic_fourier_series(ratio, lattice)
-    approximant = inverse_fourier_wigner(lift_quotient_function(ratio) * FS)
+    approximant = _unspreading(lift_quotient_function(ratio) * VS)
     return mask, approximant
 
 
@@ -125,10 +135,9 @@ def gram_matrix(S, lattice: Lattice) -> np.ndarray:
     """
     S = as_operator(S, L=lattice.L)
     L = lattice.L
-    h = op_op_conv(S, _checked_star(S), lattice)
     rows, cols = lattice.coords
     grid = np.zeros((L, L), dtype=np.complex128)
-    grid[rows, cols] = h.values
+    grid[rows, cols] = op_op_conv(S, _checked_star(S), lattice).values
     flat = (rows * (2 * L) + cols).astype(np.int32)
     index = np.subtract.outer(flat, flat)
     index += (2 * L + 1) * L
@@ -156,7 +165,7 @@ def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport
     independent dense eigendecomposition of the Gram matrix.
     """
     S = as_operator(S, L=lattice.L)
-    symbol, zero = _symbol(fourier_wigner(S), lattice, zero_tol)
+    symbol, zero = _symbol(_spreading(S), lattice, zero_tol)
     vals = symbol.values.real
     return RieszReport(
         lattice=lattice,
@@ -176,8 +185,8 @@ def biorthogonal_generator(
     R = b conv checked(S*), where the series of b inverts the symbol;
     requires the translates of S to be Riesz.
     """
-    FS = fourier_wigner(as_operator(S, L=lattice.L))
-    return _dual(FS, _riesz_symbol(FS, lattice, zero_tol))
+    VS = _spreading(as_operator(S, L=lattice.L))
+    return _dual(VS, _riesz_symbol(VS, lattice, zero_tol))
 
 
 @dataclass(eq=False)
@@ -206,19 +215,17 @@ def best_approximation(
     """
     T = as_operator(T, L=lattice.L)
     S = as_operator(S, L=lattice.L)
-    FS = fourier_wigner(S)
-    symbol = _riesz_symbol(FS, lattice, zero_tol)
-    mask, approximant = _project(T, FS, symbol, lattice)
+    VS = _spreading(S)
+    symbol = _riesz_symbol(VS, lattice, zero_tol)
+    mask, approximant = _project(T, VS, symbol, lattice)
     residual = T - approximant
-    defect = float(
-        np.max(np.abs(op_op_conv(residual, _checked_star(S), lattice).values))
-    )
+    defect = op_op_conv(residual, _checked_star(S), lattice).values
     return ApproxReport(
         mask=mask,
-        fourier_mask=op_op_conv(T, _dual(FS, symbol), lattice),
+        fourier_mask=op_op_conv(T, _dual(VS, symbol), lattice),
         approximant=approximant,
         residual_hs=hs_norm(residual),
-        orthogonality_defect=defect,
+        orthogonality_defect=float(np.max(np.abs(defect))),
     )
 
 
@@ -228,9 +235,7 @@ class MaskRecovery:
     residual_hs: float
 
 
-def recover_mask(
-    G, S, lattice: Lattice, zero_tol: float = ZERO_TOL
-) -> MaskRecovery:
+def recover_mask(G, S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> MaskRecovery:
     """Invert c -> c conv S on its range; the residual flags outside input.
 
     For G = c conv S the recovered mask equals c exactly; for general G
@@ -238,9 +243,9 @@ def recover_mask(
     measures the distance of G to the module span.
     """
     G = as_operator(G, L=lattice.L)
-    FS = fourier_wigner(as_operator(S, L=lattice.L))
-    symbol = _riesz_symbol(FS, lattice, zero_tol)
-    mask, approximant = _project(G, FS, symbol, lattice)
+    VS = _spreading(as_operator(S, L=lattice.L))
+    symbol = _riesz_symbol(VS, lattice, zero_tol)
+    mask, approximant = _project(G, VS, symbol, lattice)
     return MaskRecovery(mask=mask, residual_hs=hs_norm(G - approximant))
 
 
@@ -259,10 +264,7 @@ class TauberianReport:
 
     @property
     def consistent(self) -> bool:
-        return (
-            self.kernel_dim == len(self.zero_cosets)
-            and self.injective == (len(self.zero_cosets) == 0)
-        )
+        return self.kernel_dim == len(self.zero_cosets)
 
 
 def tauberian_diagnostics(
@@ -275,12 +277,9 @@ def tauberian_diagnostics(
     equals the number of zero cosets.
     """
     S = as_operator(S, L=lattice.L)
-    symbol, zero = _symbol(fourier_wigner(S), lattice, zero_tol)
+    symbol, zero = _symbol(_spreading(S), lattice, zero_tol)
     sing = np.linalg.svd(synthesis_map(S, lattice).matrix, compute_uv=False)
-    if sing.size == 0 or sing[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sing > RANK_RTOL * sing[0]))
+    rank = int(np.count_nonzero(sing > RANK_RTOL * sing.max(initial=0.0)))
     return TauberianReport(
         lattice=lattice,
         lower=float(symbol.values.real.min()),
@@ -311,14 +310,12 @@ def nonassociativity_witness(
     rng = np.random.default_rng(seed)
     for _ in range(16):
         T0 = random_operator(lattice.L, rng)
-        projected = seq_op_conv(op_op_conv(T0, R, lattice), S)
-        T = T0 - projected
+        T = T0 - seq_op_conv(op_op_conv(T0, R, lattice), S)
         if hs_norm(T) > 1e-8 * hs_norm(T0):
             break
     else:  # pragma: no cover - the span is a proper subspace
         raise NotRieszError("failed to find a vector outside the module span")
-    deviation = hs_norm(seq_op_conv(op_op_conv(T, R, lattice), S) - T)
-    return T, deviation
+    return T, hs_norm(seq_op_conv(op_op_conv(T, R, lattice), S) - T)
 
 
 def underspread_divide(
@@ -327,12 +324,15 @@ def underspread_divide(
     """Solve S = (S conv T) conv A for A when S is underspread.
 
     domain must hit each adjoint coset at most once (true for any subset
-    of a fundamental domain), FW(S) must be supported inside it and FW(T)
-    must not vanish on it.  The divider has Fourier-Wigner transform
-    (1/kappa) / FW(T) on the domain and zero outside, kappa = N / L.
+    of a fundamental domain), V(S) must be supported inside it and V(T)
+    must not vanish on it.  The divider has spreading function
+    conj(chi) / (kappa V(T)) on the domain and zero outside, kappa = N / L.
     """
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
+    _check_tol(zero_tol)
+    if not all(_is_int(x) for z in domain for x in z):
+        raise ValueError(f"domain coordinates must be integers, got {domain!r}")
     L = lattice.L
     rows, cols = np.asarray(domain, dtype=np.int64).reshape(-1, 2).T % L
     cosets = quotient_reps(adjoint_lattice(lattice)).coset_of[rows, cols]
@@ -341,22 +341,22 @@ def underspread_divide(
             "domain meets some adjoint coset twice; not part of a fundamental domain"
         )
 
-    FS = fourier_wigner(S)
-    FT = fourier_wigner(T)
-    inside = np.zeros((L, L), dtype=bool)
-    inside[rows, cols] = True
-    spill = np.abs(FS)[~inside]
-    if spill.size and spill.max() > SUPPORT_RTOL * max(np.abs(FS).max(), 1e-300):
+    spill = np.abs(_spreading(S))
+    peak = max(spill.max(), 1e-300)
+    spill[rows, cols] = 0.0
+    if spill.max() > SUPPORT_RTOL * peak:
         raise SupportViolationError(
             "spreading support of S exceeds the declared domain"
         )
-    divisor = FT[rows, cols]
-    vanishing = np.flatnonzero(np.abs(divisor) <= zero_tol * float(np.abs(FT).max()))
+    VT = _spreading(T)
+    divisor = VT[rows, cols]
+    vanishing = np.flatnonzero(np.abs(divisor) <= zero_tol * float(np.abs(VT).max()))
     if vanishing.size:
         i = vanishing[0]
         raise DivisionByZeroError(
             f"spreading function of divisor vanishes at {(int(rows[i]), int(cols[i]))}"
         )
-    FA = np.zeros((L, L), dtype=np.complex128)
-    FA[rows, cols] = 1.0 / ((lattice.size / L) * divisor)
-    return inverse_fourier_wigner(FA)
+    VA = np.zeros((L, L), dtype=np.complex128)
+    chi = np.exp(2j * np.pi * (rows * cols % L) / L)
+    VA[rows, cols] = np.conj(chi) / ((lattice.size / L) * divisor)
+    return _unspreading(VA)

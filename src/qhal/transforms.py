@@ -19,7 +19,9 @@ Normalizations are chosen once and used everywhere:
 The Fourier-Wigner transform is FW(S)(m, n) = exp(2 pi i h m n / L) V(S)(m, n),
 where h = (L + 1) / 2 inverts 2 mod L.  This needs L odd; even L raises
 EvenDimensionError rather than silently picking a square root of a
-character.  Integer phase exponents are reduced mod L before scaling.
+character.  Only the FW functions carry this restriction: the convolutions
+and the analysis use V and the integer chirp exp(2 pi i m n / L) and work at
+every L.  Integer phase exponents are reduced mod L before scaling.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from qhal import (
     seq_op_conv,
     synthesis_map,
     tauberian_diagnostics,
+    tf_shift,
     translate,
     underspread_divide,
 )
@@ -76,6 +77,57 @@ def test_zero_tolerance_still_flags_exact_zeros():
     assert len(report.zero_cosets) == L * L - 1
     with pytest.raises(NotRieszError):
         best_approximation(np.eye(L), np.eye(L), lat, zero_tol=0.0)
+
+
+def test_invalid_zero_tolerance_is_rejected():
+    L = 9
+    lat = make_separable_lattice(3, 3, L)
+    S = random_operator(L, np.random.default_rng(140))
+    for tol in (np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="zero_tol"):
+            riesz_report(S, lat, zero_tol=tol)
+        with pytest.raises(ValueError, match="zero_tol"):
+            best_approximation(S, S, lat, zero_tol=tol)
+        with pytest.raises(ValueError, match="zero_tol"):
+            underspread_divide(S, S, lat, [(0, 0)], zero_tol=tol)
+
+
+def test_chirp_builds_per_request(monkeypatch):
+    """Analysis builds the integer chirp only in op_op_conv and in the dual,
+    never the half chirp: riesz 1, approx 3, recover 0, divide 0."""
+    import qhal.analysis
+    import qhal.convolutions
+    import qhal.transforms
+
+    calls = []
+    chirp = qhal.transforms._chirp
+
+    def counting(L, k):
+        calls.append(k)
+        return chirp(L, k)
+
+    for module in (qhal.transforms, qhal.convolutions, qhal.analysis):
+        monkeypatch.setattr(module, "_chirp", counting)
+    rng = np.random.default_rng(141)
+    lattices = (make_separable_lattice(2, 4, 8), make_general_lattice([(3, 1)], 9))
+    for lat in lattices:
+        L = lat.L
+        S, T = random_operator(L, rng), random_operator(L, rng)
+        G = seq_op_conv(random_sequence(lat, rng), S)
+        Su = tf_shift((0, 0), L)
+        requests = (
+            lambda: riesz_report(S, lat),
+            lambda: best_approximation(T, S, lat),
+            lambda: recover_mask(G, S, lat),
+            lambda: underspread_divide(Su, T, lat, [(0, 0)]),
+        )
+        counts = []
+        for request in requests:
+            start = len(calls)
+            request()
+            counts.append(len(calls) - start)
+        assert counts == [1, 3, 0, 0], L
+    assert set(calls) == {1}
 
 
 def test_riesz_gaussian_projector_is_riesz():
@@ -502,6 +554,17 @@ def test_underspread_divide_rejects_duplicate_cosets():
     T = bounded_spreading_operator(L, rng)
     with pytest.raises(ValueError):
         underspread_divide(S, T, lat, [(0, 0), (5, 0)])
+
+
+def test_underspread_divide_rejects_non_integer_domain():
+    rng = np.random.default_rng(142)
+    L = 15
+    lat = make_separable_lattice(3, 3, L)
+    S = tf_shift((0, 0), L)
+    T = bounded_spreading_operator(L, rng)
+    for domain in ([(0.5, 0)], [(True, 0)], [(0, "1")]):
+        with pytest.raises(ValueError, match="integers"):
+            underspread_divide(S, T, lat, domain)
 
 
 # -- norm equivalence bands --------------------------------------------------

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
-from qhal import make_separable_lattice, random_sequence
+from qhal import make_separable_lattice, random_sequence, tf_shift
 from qhal.cli import main, parse_lattice_spec, render_json
 from qhal.io import load_text, loads_lattice, loads_operator, loads_sequence, loads_signal
+from qhal.io import dumps_operator, save_text
+from qhal.operators import random_operator
 
 
 def run(capsys, *argv):
@@ -98,6 +100,14 @@ def test_riesz_tolerance_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("QHAL_TOL", "not-a-number")
     code, _, _ = run(capsys, *base)
     assert code == 1
+    # a NaN, infinite or negative threshold would switch the zero test off
+    delta = ("riesz", "--L", "9", "--lattice", "3,3", "--op", "rank1:delta,delta")
+    for bad in ("nan", "-1", "inf"):
+        code, out, err = run(capsys, *delta, f"--tol={bad}")
+        assert code == 1 and out == "" and "zero_tol" in err, bad
+        monkeypatch.setenv("QHAL_TOL", bad)
+        code, out, err = run(capsys, *delta)
+        assert code == 1 and out == "" and "zero_tol" in err, bad
 
 
 # -- approx and recover ------------------------------------------------------
@@ -163,6 +173,36 @@ def test_recover_round_trip(capsys, tmp_path):
     assert np.max(np.abs(got.values - want.values)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "L, lattice", [("8", "2,4"), ("12", "gens=2,3")], ids=["even", "even-general"]
+)
+def test_analysis_commands_run_at_even_L(capsys, L, lattice):
+    head = ("--L", L, "--lattice", lattice, "--op", "randomrank:2")
+    code, out, _ = run(capsys, "riesz", *head)
+    assert code == 0
+    doc = json.loads(out)
+    eigs = sorted(doc["gram_eigenvalues"])
+    assert np.isclose(eigs[0], doc["A"]) and np.isclose(eigs[-1], doc["B"])
+    code, out, _ = run(capsys, "approx", *head, "--target", "random")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["residual_hs"] < doc["target_norm"]
+    assert doc["mask_agreement"] < 1e-9 and doc["orthogonality_defect"] < 1e-9
+    code, out, _ = run(capsys, "recover", *head, "--target", "gabor:rand,rand")
+    assert code == 0
+    assert json.loads(out)["residual_hs"] >= 0
+
+
+def test_fourier_wigner_specs_stay_odd_only(capsys):
+    """bump and underspread are defined through FW, and the Gaussian's
+    ambiguity function vanishes at (L/2, n) for odd n when L is even."""
+    head = ("riesz", "--L", "8", "--lattice", "2,4")
+    for spec in ("bump", "underspread:1,1", "rank1:gauss,gauss"):
+        code, out, err = run(capsys, *head, "--op", spec)
+        assert code == 1 and out == "", spec
+        assert "L=8" in err, spec
+
+
 # -- divide ------------------------------------------------------------------
 
 
@@ -180,6 +220,32 @@ def test_divide_underspread_reconstruction(capsys, tmp_path):
     assert len(doc["domain"]) == 25
     A = loads_operator(load_text(out_path))
     assert A.shape == (15, 15)
+
+
+def test_divide_runs_at_even_L_with_file_operands(capsys, tmp_path):
+    L = 8
+    rng = np.random.default_rng(170)
+    # V(pi(z)) = L delta_z, so S has V(S) on the box |m|, |n| <= 1
+    S = sum(
+        complex(*rng.standard_normal(2)) * tf_shift((i, j), L)
+        for i in (-1, 0, 1)
+        for j in (-1, 0, 1)
+    ) / L
+    T = random_operator(L, rng)
+    paths = {}
+    for name, op in (("S", S), ("T", T)):
+        paths[name] = tmp_path / f"{name}.txt"
+        save_text(paths[name], dumps_operator(op))
+    out_path = tmp_path / "A.txt"
+    code, out, _ = run(
+        capsys,
+        "divide", "--L", "8", "--lattice", "2,2",
+        "--op", f"file:{paths['S']}", "--divisor", f"file:{paths['T']}",
+        "--domain", "1,1", "--out", str(out_path),
+    )
+    assert code == 0
+    assert json.loads(out)["reconstruction_error"] < 1e-12
+    assert loads_operator(load_text(out_path)).shape == (L, L)
 
 
 def test_divide_rejects_wide_spreading_support(capsys):

@@ -6,8 +6,9 @@ Holighaus, Toth & Wiesmeyr, "Representing and counting the subgroups of the
 group Z_m x Z_n", 2014).  Their number is sum_{d1, d2 | L} gcd(d1, d2).
 The sweep enumerates the triples, checks the count and compares the
 lattice structure on every subgroup with L <= 16, and the series,
-periodization and convolutions on every subgroup with L <= 9, with the
-slow transcriptions in ``reference.py``.
+periodization, convolutions and analysis on every subgroup with L <= 9
+(even L included), with the slow transcriptions in ``reference.py`` and
+dense least squares.
 """
 
 from __future__ import annotations
@@ -19,18 +20,27 @@ import pytest
 
 from qhal import (
     adjoint_lattice,
+    best_approximation,
+    biorthogonal_generator,
+    delta_sequence,
+    hs_norm,
     inverse_symplectic_fourier_series,
     make_general_lattice,
+    nonassociativity_witness,
     op_op_conv,
     periodize,
     quotient_reps,
     random_sequence,
+    recover_mask,
     riesz_report,
     separable_profile,
     seq_op_conv,
     seq_seq_conv,
     symplectic_fourier_series,
+    synthesis_map,
     tauberian_diagnostics,
+    tf_shift,
+    underspread_divide,
 )
 from qhal.operators import random_operator
 
@@ -123,12 +133,37 @@ def test_fourier_side_matches_oracles(L):
         want = ref.seq_seq_conv_slow(lat.points, cs.values, ds.values, L)
         assert np.allclose(seq_seq_conv(cs, ds).values, want, atol=1e-11), (a, c, b)
 
-        if L % 2:
-            report = riesz_report(S, lat)
-            eigs = np.sort(report.gram_eigenvalues)
-            vals = np.sort(report.symbol.values.real)
-            assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
-            assert tauberian_diagnostics(S, lat).consistent, (a, c, b)
+        report = riesz_report(S, lat)
+        eigs = np.sort(report.gram_eigenvalues)
+        vals = np.sort(report.symbol.values.real)
+        assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
+        assert tauberian_diagnostics(S, lat).consistent, (a, c, b)
+
+        D = synthesis_map(S, lat).matrix
+        lsq = np.linalg.lstsq(D, T.reshape(-1), rcond=None)[0]
+        approx = best_approximation(T, S, lat)
+        assert np.allclose(approx.mask.values, lsq, atol=1e-11), (a, c, b)
+        assert np.allclose(approx.approximant.reshape(-1), D @ lsq, atol=1e-11)
+        got = recover_mask(seq_op_conv(cs, S), S, lat).mask
+        assert np.allclose(got.values, cs.values, atol=1e-11), (a, c, b)
+        R = biorthogonal_generator(S, lat)
+        want = delta_sequence(lat).values
+        assert np.allclose(op_op_conv(S, R, lat).values, want, atol=1e-11), (a, c, b)
+        if not lat.is_full:
+            W, deviation = nonassociativity_witness(S, lat, seed=L)
+            h = ref.op_op_conv_slow(W, R, lat.points, L)
+            back = ref.seq_op_conv_slow(lat.points, h, S, L)
+            assert np.allclose(back, 0.0, atol=1e-11), (a, c, b)
+            assert np.isclose(deviation, hs_norm(W), rtol=1e-9), (a, c, b)
+
+        # S with V(S)(z) = g(z) on a few coset representatives of the
+        # adjoint, since V(pi(z)) = L delta_z
+        domain = quotient_reps(adj).reps[:3]
+        Su = sum(complex(*rng.standard_normal(2)) * tf_shift(z, L) for z in domain) / L
+        A = underspread_divide(Su, T, lat, domain)
+        h = ref.op_op_conv_slow(Su, T, lat.points, L)
+        rebuilt = ref.seq_op_conv_slow(lat.points, h, A, L)
+        assert hs_norm(rebuilt - Su) < 1e-11 * hs_norm(Su), (a, c, b)
 
 
 def test_basis_from_random_generators():
