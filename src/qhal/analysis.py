@@ -46,11 +46,11 @@ from .phase_space import (
 )
 from .transforms import (
     _chirp,
+    _periodize,
     _spreading,
     _unspreading,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
-    periodize,
 )
 
 __all__ = [
@@ -88,7 +88,7 @@ def _check_tol(zero_tol) -> None:
 def _symbol(VS: np.ndarray, lattice: Lattice, zero_tol: float):
     """The symbol of the generator with V(S) = VS, and its zero cosets."""
     _check_tol(zero_tol)
-    symbol = periodize(np.abs(VS) ** 2, adjoint_lattice(lattice))
+    symbol = _periodize(np.abs(VS) ** 2, adjoint_lattice(lattice))
     vals = symbol.values.real  # exactly nonnegative, so zero_tol=0 flags exact zeros
     zero = vals <= zero_tol * vals.max()
     rows, cols = symbol.quotient.coords
@@ -117,7 +117,7 @@ def _project(T: np.ndarray, VS: np.ndarray, symbol: QuotientFunction, lattice):
     The mask's series is periodize(V(T) conj(V(S))) / symbol, and the
     approximant's spreading function is that series times V(S).
     """
-    cross = periodize(_spreading(T) * np.conj(VS), symbol.quotient.lattice)
+    cross = _periodize(_spreading(T) * np.conj(VS), symbol.quotient.lattice)
     ratio = QuotientFunction(cross.quotient, cross.values / symbol.values)
     mask = inverse_symplectic_fourier_series(ratio, lattice)
     approximant = _unspreading(lift_quotient_function(ratio) * VS)
@@ -162,7 +162,8 @@ def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport
     """Frame-theoretic health check of the lattice translates of S.
 
     The bounds are the extremes of the symbol.  Eigenvalues come from an
-    independent dense eigendecomposition of the Gram matrix.
+    independent dense eigendecomposition of the Gram matrix.  FFT budget:
+    3 of size L x L; the series runs on N points.
     """
     S = as_operator(S, L=lattice.L)
     symbol, zero = _symbol(_spreading(S), lattice, zero_tol)
@@ -211,7 +212,8 @@ def best_approximation(
     """Best HS approximation of T from the span of the translates of S.
 
     The symbol is computed once; it gives both the projection and the
-    biorthogonal generator R of the cross-check T conv R.
+    biorthogonal generator R of the cross-check T conv R.  FFT budget: 8 of
+    size L x L, 3 for the projection and 5 for the two cross-checks.
     """
     T = as_operator(T, L=lattice.L)
     S = as_operator(S, L=lattice.L)
@@ -240,7 +242,8 @@ def recover_mask(G, S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> MaskReco
 
     For G = c conv S the recovered mask equals c exactly; for general G
     the result is the mask of the best approximant and residual_hs
-    measures the distance of G to the module span.
+    measures the distance of G to the module span.  FFT budget: 3 of size
+    L x L; the series runs on N points.
     """
     G = as_operator(G, L=lattice.L)
     VS = _spreading(as_operator(S, L=lattice.L))
@@ -327,6 +330,7 @@ def underspread_divide(
     of a fundamental domain), V(S) must be supported inside it and V(T)
     must not vanish on it.  The divider has spreading function
     conj(chi) / (kappa V(T)) on the domain and zero outside, kappa = N / L.
+    FFT budget: 3 of size L x L.
     """
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)

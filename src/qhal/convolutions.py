@@ -29,14 +29,13 @@ from .operators import as_operator, as_signal, rank_one, translate
 from .phase_space import Lattice, LatticeSequence, QuotientFunction
 from .transforms import (
     _chirp,
-    _series_grid,
+    _periodize,
     _spreading,
     _unspreading,
     adjoint_lattice,
     fourier_wigner,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
-    periodize,
     symplectic_fourier_series,
 )
 
@@ -57,7 +56,8 @@ __all__ = [
 def seq_op_conv(c: LatticeSequence, S) -> np.ndarray:
     """sum_lambda c(lambda) alpha_lambda(S); V(c conv S) = series(c) V(S)."""
     S = as_operator(S, L=c.lattice.L)
-    return _unspreading(_series_grid(c) * _spreading(S))
+    lifted = lift_quotient_function(symplectic_fourier_series(c))
+    return _unspreading(lifted * _spreading(S))
 
 
 def op_op_conv(S, T, lattice: Lattice) -> LatticeSequence:
@@ -72,7 +72,7 @@ def op_op_conv(S, T, lattice: Lattice) -> LatticeSequence:
     T = as_operator(T, L=lattice.L)
     product = _chirp(lattice.L, 1) * _spreading(S) * _spreading(T)
     return inverse_symplectic_fourier_series(
-        periodize(product, adjoint_lattice(lattice)), lattice
+        _periodize(product, adjoint_lattice(lattice)), lattice
     )
 
 
@@ -136,7 +136,7 @@ def fs_of_op_op_conv(S, T, lattice: Lattice):
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
     product = fourier_wigner(S) * fourier_wigner(T)
-    return periodize(product, adjoint_lattice(lattice))
+    return _periodize(product, adjoint_lattice(lattice))
 
 
 def mixed_associativity_defect(c: LatticeSequence, S, T) -> float:

@@ -1,9 +1,12 @@
 """Transforms between operators, phase-space grids and lattice sequences.
 
-Two FFT kernels carry everything here and in the convolutions: the
-spreading function V(S)(m, n) = trace(pi(m, n)* S), one FFT over the
-gathered diagonals of S (``_spreading``, inverted by ``_unspreading``),
-and ``symplectic_dft``, one inverse and one forward FFT.
+Two FFT kernels carry the convolutions and the analysis: the spreading
+function V(S)(m, n) = trace(pi(m, n)* S), one L x L FFT over the gathered
+diagonals of S (``_spreading``, inverted by ``_unspreading``), and the
+symplectic Fourier series, one N-point FFT on the (L / a) x (L / b) grid of
+lattice points with a twiddle for the shear c.  The diagonal index and the
+integer chirp are built once per L, cached and read-only.  Each analysis
+docstring states its L x L FFT budget per request.
 
 Normalizations are chosen once and used everywhere:
 
@@ -25,6 +28,8 @@ every L.  Integer phase exponents are reduced mod L before scaling.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -73,28 +78,35 @@ def as_phase_function(f, L: int | None = None) -> np.ndarray:
     return _finite(grid, "phase function")
 
 
+@functools.lru_cache(maxsize=4)
 def _chirp(L: int, k: int) -> np.ndarray:
-    """exp(2 pi i (k m n mod L) / L) over the grid, gathered from the L roots."""
+    """exp(2 pi i (k m n mod L) / L) over the grid, from the L roots; read-only."""
     a = np.arange(L)
-    return np.exp(2j * np.pi * a / L)[(k * (np.outer(a, a) % L)) % L]
+    chirp = np.exp(2j * np.pi * a / L)[(k * (np.outer(a, a) % L)) % L]
+    chirp.flags.writeable = False
+    return chirp
 
 
-def _diagonals(L: int):
-    """Index pair with S[_diagonals(L)][m, a] = S[a, a - m]."""
+@functools.lru_cache(maxsize=4)
+def _diagonal_index(L: int) -> np.ndarray:
+    """Flat index with S.ravel()[idx][m, a] = S[a, a - m]; cached and read-only."""
     a = np.arange(L)
-    return a, (a - a[:, None]) % L
+    idx = a * L + (a - a[:, None]) % L
+    idx.flags.writeable = False
+    return idx
 
 
 def _spreading(S: np.ndarray) -> np.ndarray:
     """V(S)(m, n) = trace(pi(m, n)* S) = sum_a exp(-2 pi i n a / L) S[a, a - m]."""
-    return np.fft.fft(S[_diagonals(S.shape[0])], axis=1)
+    return np.fft.fft(S.ravel().take(_diagonal_index(S.shape[0])), axis=1)
 
 
 def _unspreading(V: np.ndarray) -> np.ndarray:
     """The operator whose spreading function is V."""
-    S = np.empty_like(V)
-    S[_diagonals(V.shape[0])] = np.fft.ifft(V, axis=1)
-    return S
+    L = V.shape[0]
+    S = np.empty(L * L, dtype=np.complex128)
+    S[_diagonal_index(L)] = np.fft.ifft(V, axis=1)
+    return S.reshape(L, L)
 
 
 def stft(psi, phi) -> np.ndarray:
@@ -135,19 +147,23 @@ def weyl_symbol(S) -> np.ndarray:
     return symplectic_dft(fourier_wigner(S))
 
 
-def _series_grid(c: LatticeSequence) -> np.ndarray:
-    """The symplectic Fourier series of c on the full, adjoint-periodic grid."""
-    L = c.lattice.L
-    grid = np.zeros((L, L), dtype=np.complex128)
-    grid[c.lattice.coords] = c.values
-    return L * symplectic_dft(grid)
+def _shear_twiddle(lattice: Lattice) -> np.ndarray:
+    """exp(2 pi i (i c mod b) m / L) for i < L / a (rows) and m < L / b."""
+    L, P, Q = lattice.L, lattice.L // lattice.a, lattice.L // lattice.b
+    shift = np.arange(P) * lattice.c % lattice.b
+    return np.exp(2j * np.pi * (np.outer(shift, np.arange(Q)) % L) / L)
 
 
 def symplectic_fourier_series(c: LatticeSequence) -> QuotientFunction:
     """sum_lambda c(lambda) exp(2 pi i sigma(lambda, z) / L), one value per
-    coset of the adjoint."""
-    quotient = quotient_reps(adjoint_lattice(c.lattice))
-    return QuotientFunction(quotient, _series_grid(c)[quotient.coords])
+    coset of the adjoint.  For lambda = (i a, (i c mod b) + k b) and z = (m, n)
+    in the adjoint's box, m < L / b and n < L / a, the character factors into
+    an FFT over k, the shear twiddle and an FFT over i."""
+    lat = c.lattice
+    P, Q = lat.L // lat.a, lat.L // lat.b
+    inner = Q * np.fft.ifft(c.values.reshape(P, Q), axis=1) * _shear_twiddle(lat)
+    quotient = quotient_reps(adjoint_lattice(lat))
+    return QuotientFunction(quotient, np.fft.fft(inner, axis=0).T.ravel())
 
 
 def inverse_symplectic_fourier_series(
@@ -160,19 +176,29 @@ def inverse_symplectic_fourier_series(
             "quotient function lives on "
             f"{F.quotient.lattice!r}, expected the adjoint {adj!r}"
         )
-    grid = symplectic_dft(lift_quotient_function(F)) / lattice.L
-    return LatticeSequence(lattice, grid[lattice.coords])
+    P, Q = lattice.L // lattice.a, lattice.L // lattice.b
+    inner = np.fft.ifft(F.values.reshape(Q, P), axis=1).T
+    values = np.fft.fft(inner * np.conj(_shear_twiddle(lattice)), axis=1) / Q
+    return LatticeSequence(lattice, values.ravel())
+
+
+def _periodize(f: np.ndarray, subgroup: Lattice) -> QuotientFunction:
+    """``periodize`` without the finiteness scan, for grids computed from
+    checked inputs; QuotientFunction still refuses non-finite coset sums.
+
+    With m = i a + r and n = k b + j, the point (m, n) lies in the box coset
+    (r, (j - i c) mod b): sum over k, then over i after undoing the shear.
+    """
+    L, a, c, b = subgroup.L, subgroup.a, subgroup.c, subgroup.b
+    folded = f.reshape(L // a, a, L // b, b).sum(axis=2)
+    shear = (np.arange(b) + np.arange(L // a)[:, None] * c) % b
+    sums = np.take_along_axis(folded, shear[:, None, :], axis=2).sum(axis=0)
+    return QuotientFunction(quotient_reps(subgroup), sums.ravel() * (L / subgroup.size))
 
 
 def periodize(f, subgroup: Lattice) -> QuotientFunction:
     """Sum a grid over subgroup translates, scaled by kappa = L / |subgroup|."""
-    f = as_phase_function(f, L=subgroup.L)
-    quotient = quotient_reps(subgroup)
-    cosets = quotient.coset_of.ravel()
-    sums = np.bincount(cosets, f.real.ravel(), quotient.size) + 1j * np.bincount(
-        cosets, f.imag.ravel(), quotient.size
-    )
-    return QuotientFunction(quotient, sums * (subgroup.L / subgroup.size))
+    return _periodize(as_phase_function(f, L=subgroup.L), subgroup)
 
 
 def lift_quotient_function(F: QuotientFunction) -> np.ndarray:

@@ -93,8 +93,9 @@ def test_invalid_zero_tolerance_is_rejected():
 
 
 def test_chirp_builds_per_request(monkeypatch):
-    """Analysis builds the integer chirp only in op_op_conv and in the dual,
-    never the half chirp: riesz 1, approx 3, recover 0, divide 0."""
+    """Analysis asks for the integer chirp only in op_op_conv and in the dual,
+    never the half chirp: riesz 1, approx 3, recover 0, divide 0.  The
+    chirp is cached per L, so these are lookups, not builds."""
     import qhal.analysis
     import qhal.convolutions
     import qhal.transforms

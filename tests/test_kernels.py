@@ -1,0 +1,208 @@
+"""The FFT kernels under the public API: memory layouts, FFT budgets per
+request, the per-L constant caches and overflow inside internal grids."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from qhal import (
+    LatticeSequence,
+    NonFiniteError,
+    QuotientFunction,
+    best_approximation,
+    biorthogonal_generator,
+    fourier_wigner,
+    fs_of_op_op_conv,
+    fw_of_seq_op_conv,
+    gram_matrix,
+    inverse_fourier_wigner,
+    inverse_symplectic_fourier_series,
+    make_general_lattice,
+    make_separable_lattice,
+    mixed_associativity_defect,
+    module_associativity_defect,
+    nonassociativity_witness,
+    op_op_conv,
+    periodize,
+    random_sequence,
+    recover_mask,
+    riesz_report,
+    seq_op_conv,
+    symplectic_dft,
+    symplectic_fourier_series,
+    synthesis_map,
+    tauberian_diagnostics,
+    underspread_divide,
+    weyl_symbol,
+)
+from qhal.operators import random_operator
+from qhal.phase_space import Lattice
+from qhal.transforms import _chirp, _diagonal_index
+
+# sheared, N = 9 points, N != L^2; its adjoint box is 3 x 3
+LAT = make_general_lattice([(3, 1)], 9)
+DOMAIN = [(0, 0), (0, 1), (1, 0)]
+
+
+def _underspread(L, rng):
+    grid = np.zeros((L, L), dtype=np.complex128)
+    for m, n in DOMAIN:
+        grid[m, n] = complex(*rng.standard_normal(2))
+    return inverse_fourier_wigner(grid)
+
+
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "transposed": lambda S: np.ascontiguousarray(S.T).T,
+    "negative": lambda S: np.ascontiguousarray(S[::-1, ::-1])[::-1, ::-1],
+}
+
+# each call takes operators S, T and U, with U underspread on DOMAIN
+_rng = np.random.default_rng(230)
+_c, _d = random_sequence(LAT, _rng), random_sequence(LAT, _rng)
+CALLS = {
+    "fourier_wigner": lambda S, T, U: fourier_wigner(S),
+    "inverse_fourier_wigner": lambda S, T, U: inverse_fourier_wigner(S),
+    "weyl_symbol": lambda S, T, U: weyl_symbol(S),
+    "symplectic_dft": lambda S, T, U: symplectic_dft(S),
+    "periodize": lambda S, T, U: periodize(S, LAT),
+    "seq_op_conv": lambda S, T, U: seq_op_conv(_c, S),
+    "op_op_conv": lambda S, T, U: op_op_conv(S, T, LAT),
+    "synthesis_map": lambda S, T, U: synthesis_map(S, LAT),
+    "fw_of_seq_op_conv": lambda S, T, U: fw_of_seq_op_conv(_c, S),
+    "fs_of_op_op_conv": lambda S, T, U: fs_of_op_op_conv(S, T, LAT),
+    "mixed_associativity_defect": lambda S, T, U: mixed_associativity_defect(_c, S, T),
+    "module_associativity_defect": lambda S, T, U: module_associativity_defect(_c, _d, S),
+    "gram_matrix": lambda S, T, U: gram_matrix(S, LAT),
+    "riesz_report": lambda S, T, U: riesz_report(S, LAT),
+    "biorthogonal_generator": lambda S, T, U: biorthogonal_generator(S, LAT),
+    "best_approximation": lambda S, T, U: best_approximation(T, S, LAT),
+    "recover_mask": lambda S, T, U: recover_mask(T, S, LAT),
+    "tauberian_diagnostics": lambda S, T, U: tauberian_diagnostics(S, LAT),
+    "nonassociativity_witness": lambda S, T, U: nonassociativity_witness(S, LAT),
+    "underspread_divide": lambda S, T, U: underspread_divide(U, T, LAT, DOMAIN),
+}
+
+
+def _arrays(result):
+    """Every number a result carries, as a list of arrays."""
+    if isinstance(result, (LatticeSequence, QuotientFunction)):
+        return [result.values]
+    if isinstance(result, Lattice):
+        return []
+    if dataclasses.is_dataclass(result):
+        return [a for f in dataclasses.fields(result) for a in _arrays(getattr(result, f.name))]
+    if isinstance(result, tuple):
+        return [a for item in result for a in _arrays(item)]
+    return [np.asarray(result)]
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_layouts_give_the_c_order_result(name, layout):
+    rng = np.random.default_rng(231)
+    ops = (random_operator(LAT.L, rng), random_operator(LAT.L, rng))
+    ops += (_underspread(LAT.L, rng),)
+    want = _arrays(CALLS[name](*ops))
+    moved = [LAYOUTS[layout](A) for A in ops]
+    for A, B in zip(ops, moved):
+        assert np.array_equal(A, B) and not B.flags.c_contiguous
+    got = _arrays(CALLS[name](*moved))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+# -- FFT budget ----------------------------------------------------------------
+
+
+@pytest.fixture
+def fft_shapes(monkeypatch):
+    """Input shapes of every np.fft.fft / np.fft.ifft call, in call order."""
+    shapes = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counting(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [LAT, make_separable_lattice(2, 4, 8), make_general_lattice([(15, 1)], 225)],
+    ids=repr,
+)
+def test_fft_budget_per_request(lattice, fft_shapes):
+    """L x L FFTs per request as the docstrings state; the series FFTs
+    touch only N-point arrays."""
+    L, N = lattice.L, lattice.size
+    rng = np.random.default_rng(232)
+    S, T = random_operator(L, rng), random_operator(L, rng)
+    G = seq_op_conv(random_sequence(lattice, rng), S)
+    U = np.eye(L, dtype=np.complex128)  # V(U) = L delta_0
+    requests = {
+        "riesz_report": (lambda: riesz_report(S, lattice), 3),
+        "best_approximation": (lambda: best_approximation(T, S, lattice), 8),
+        "recover_mask": (lambda: recover_mask(G, S, lattice), 3),
+        "underspread_divide": (lambda: underspread_divide(U, T, lattice, [(0, 0)]), 3),
+    }
+    for name, (request, budget) in requests.items():
+        del fft_shapes[:]
+        request()
+        full = [s for s in fft_shapes if s == (L, L)]
+        assert len(full) == budget, name
+        assert all(int(np.prod(s)) == N for s in fft_shapes if s != (L, L)), name
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [LAT, make_separable_lattice(3, 5, 105), make_general_lattice([(2, 3)], 12)],
+    ids=repr,
+)
+def test_series_uses_only_lattice_size_ffts(lattice, fft_shapes):
+    c = random_sequence(lattice, np.random.default_rng(233))
+    inverse_symplectic_fourier_series(symplectic_fourier_series(c), lattice)
+    assert len(fft_shapes) == 4
+    assert all(int(np.prod(s)) == lattice.size for s in fft_shapes)
+
+
+# -- per-L constants -------------------------------------------------------------
+
+
+def test_constant_caches_are_bounded_read_only_and_hit():
+    for cached in (_chirp, _diagonal_index):
+        assert cached.cache_info().maxsize is not None
+    L = LAT.L
+    for arr in (_chirp(L, 1), _diagonal_index(L)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    rng = np.random.default_rng(234)
+    S, T = random_operator(L, rng), random_operator(L, rng)
+    best_approximation(T, S, LAT)
+    before = [f.cache_info().misses for f in (_chirp, _diagonal_index)]
+    best_approximation(T, S, LAT)
+    assert [f.cache_info().misses for f in (_chirp, _diagonal_index)] == before
+
+
+# -- overflow inside internal grids ------------------------------------------------
+
+
+def test_overflowed_internal_grid_is_refused():
+    """|V(S)|^2 overflows for entries of 1e200; the unscanned internal grid
+    still ends in NonFiniteError through the coset sums."""
+    rng = np.random.default_rng(235)
+    S = 1e200 * random_operator(LAT.L, rng)
+    T = random_operator(LAT.L, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            riesz_report(S, LAT)
+        with pytest.raises(NonFiniteError):
+            best_approximation(T, S, LAT)

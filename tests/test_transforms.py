@@ -347,6 +347,36 @@ def test_series_matches_bruteforce():
         assert np.allclose(back.values, c.values, atol=1e-12), lat
 
 
+@pytest.mark.parametrize(
+    "lat",
+    [
+        make_general_lattice([(3, 1)], 45),
+        make_separable_lattice(3, 5, 105),
+        make_general_lattice([(15, 1)], 225),
+        make_general_lattice([(2, 3)], 12),
+    ],
+    ids=repr,
+)
+def test_series_at_scale_matches_placed_grid_dft(lat):
+    """The N-point series kernel against L * symplectic_dft of the sequence
+    placed on the grid, its inverse against the lifted DFT / L, and the
+    round trip, all to 1e-12 relative."""
+    rng = np.random.default_rng(52)
+    L = lat.L
+    c = random_sequence(lat, rng)
+    F = symplectic_fourier_series(c)
+    grid = np.zeros((L, L), dtype=np.complex128)
+    grid[lat.coords] = c.values
+    want = L * symplectic_dft(grid)[F.quotient.coords]
+    assert np.max(np.abs(F.values - want)) < 1e-12 * np.max(np.abs(want))
+    G = QuotientFunction(F.quotient, random_sequence(lat, rng).values)
+    back = inverse_symplectic_fourier_series(G, lat)
+    want = symplectic_dft(lift_quotient_function(G))[lat.coords] / L
+    assert np.max(np.abs(back.values - want)) < 1e-12 * np.max(np.abs(want))
+    back = inverse_symplectic_fourier_series(F, lat)
+    assert np.max(np.abs(back.values - c.values)) < 1e-12 * np.max(np.abs(c.values))
+
+
 def test_series_well_defined_on_cosets():
     # re-evaluating the character sum at a different coset representative
     # must give the same value
