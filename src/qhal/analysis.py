@@ -8,11 +8,11 @@ and the half chirp squares to chi).  Central object: the symbol of S on Lambda,
 
 is real and nonnegative, and its values over the cosets of the adjoint
 lattice are exactly the eigenvalues of the Gram matrix of the translates
-alpha_lambda(S).  The translates form a Riesz sequence precisely when the
-symbol has no zeros.  Dividing by it then yields the biorthogonal
-generator and the orthogonal projection onto the span, which serves both
-best approximation and exact mask recovery.  Only ``riesz_report`` builds
-the dense Gram matrix, whose eigenvalues check the symbol independently.
+alpha_lambda(S), a convolution on Lambda that its characters diagonalize.
+The translates form a Riesz sequence precisely when the symbol has no
+zeros.  Dividing by it then yields the biorthogonal generator and the
+orthogonal projection onto the span, which serves both best approximation
+and exact mask recovery.  No default path forms the dense Gram matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolutions import op_op_conv, seq_op_conv, synthesis_map
+from .convolutions import _op_op_conv, op_op_conv, seq_op_conv, synthesis_map
 from .errors import (
     DivisionByZeroError,
     FullLatticeError,
@@ -31,8 +31,6 @@ from .errors import (
 from .operators import (
     RANK_RTOL,
     as_operator,
-    hs_norm,
-    parity_conjugate,
     random_operator,
 )
 from .phase_space import (
@@ -46,11 +44,13 @@ from .phase_space import (
 )
 from .transforms import (
     _chirp,
+    _diagonal_index,
     _periodize,
     _spreading,
     _unspreading,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
+    symplectic_fourier_series,
 )
 
 __all__ = [
@@ -76,8 +76,8 @@ SUPPORT_RTOL = 1e-12
 
 
 def _checked_star(S: np.ndarray) -> np.ndarray:
-    """Parity conjugate of the adjoint; the two conjugations commute."""
-    return parity_conjugate(np.conj(S.T))
+    """conj(S[-j, -i]) at (i, j): S reversed and rolled by one is S[-i, -j]."""
+    return np.conj(np.roll(S[::-1, ::-1], 1, axis=(0, 1)).T)
 
 
 def _check_tol(zero_tol) -> None:
@@ -111,13 +111,13 @@ def _dual(VS: np.ndarray, symbol: QuotientFunction) -> np.ndarray:
     return _unspreading(np.conj(chi * VS) / lift_quotient_function(symbol))
 
 
-def _project(T: np.ndarray, VS: np.ndarray, symbol: QuotientFunction, lattice):
+def _project(VT: np.ndarray, VS: np.ndarray, symbol: QuotientFunction, lattice):
     """Mask and approximant of the orthogonal projection of T onto the span.
 
     The mask's series is periodize(V(T) conj(V(S))) / symbol, and the
     approximant's spreading function is that series times V(S).
     """
-    cross = _periodize(_spreading(T) * np.conj(VS), symbol.quotient.lattice)
+    cross = _periodize(VT * np.conj(VS), symbol.quotient.lattice)
     ratio = QuotientFunction(cross.quotient, cross.values / symbol.values)
     mask = inverse_symplectic_fourier_series(ratio, lattice)
     approximant = _unspreading(lift_quotient_function(ratio) * VS)
@@ -128,10 +128,10 @@ def gram_matrix(S, lattice: Lattice) -> np.ndarray:
     """Gram matrix of the lattice translates of S in HS inner product.
 
     Entry (i, j) is <alpha_j S, alpha_i S> = (S conv checked(S*))(p_i - p_j),
-    so the matrix is constant along lattice differences.  It is gathered
-    from a 2 x 2 tiling of the grid, where p_i - p_j + (L, L) needs no
-    reduction mod L; the N x N flat index is int32 (4 L^2 fits), half the
-    size of a default index array.
+    so the matrix is constant along lattice differences.  This dense form is
+    for the tests and the suite; ``riesz_report`` needs only column 0.  It is
+    gathered from a 2 x 2 tiling of the grid, where p_i - p_j + (L, L) needs
+    no reduction mod L; the N x N flat index is int32 (4 L^2 fits).
     """
     S = as_operator(S, L=lattice.L)
     L = lattice.L
@@ -146,6 +146,8 @@ def gram_matrix(S, lattice: Lattice) -> np.ndarray:
 
 @dataclass(eq=False)
 class RieszReport:
+    """``gram_eigenvalues`` ascend, as ``np.linalg.eigvalsh`` gives them."""
+
     lattice: Lattice
     symbol: QuotientFunction
     lower: float
@@ -161,12 +163,15 @@ class RieszReport:
 def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport:
     """Frame-theoretic health check of the lattice translates of S.
 
-    The bounds are the extremes of the symbol.  Eigenvalues come from an
-    independent dense eigendecomposition of the Gram matrix.  FFT budget:
-    3 of size L x L; the series runs on N points.
+    The bounds are the extremes of the symbol.  The Gram matrix convolves
+    by g = S conv checked(S*) on the lattice, so its eigenvalues (ascending,
+    as from eigvalsh) are the series of g; g goes through V(checked(S*)),
+    apart from the symbol.  FFT budget: 2 of size L x L; series on N points.
     """
     S = as_operator(S, L=lattice.L)
-    symbol, zero = _symbol(_spreading(S), lattice, zero_tol)
+    VS = _spreading(S)
+    symbol, zero = _symbol(VS, lattice, zero_tol)
+    gram = _op_op_conv(VS, _spreading(_checked_star(S)), lattice)
     vals = symbol.values.real
     return RieszReport(
         lattice=lattice,
@@ -174,7 +179,7 @@ def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport
         lower=float(vals.min()),
         upper=float(vals.max()),
         zero_cosets=zero,
-        gram_eigenvalues=np.linalg.eigvalsh(gram_matrix(S, lattice)),
+        gram_eigenvalues=np.sort(symplectic_fourier_series(gram).values.real),
     )
 
 
@@ -211,23 +216,24 @@ def best_approximation(
 ) -> ApproxReport:
     """Best HS approximation of T from the span of the translates of S.
 
-    The symbol is computed once; it gives both the projection and the
-    biorthogonal generator R of the cross-check T conv R.  FFT budget: 8 of
-    size L x L, 3 for the projection and 5 for the two cross-checks.
+    The symbol and V(T) are computed once; they give both the projection
+    and the cross-check T conv R with the biorthogonal generator R, which
+    goes through its operator form.  FFT budget: 7 of size L x L, 3 for the
+    projection and 4 for the two cross-checks.
     """
     T = as_operator(T, L=lattice.L)
     S = as_operator(S, L=lattice.L)
-    VS = _spreading(S)
+    VS, VT = _spreading(S), _spreading(T)
     symbol = _riesz_symbol(VS, lattice, zero_tol)
-    mask, approximant = _project(T, VS, symbol, lattice)
+    mask, approximant = _project(VT, VS, symbol, lattice)
     residual = T - approximant
-    defect = op_op_conv(residual, _checked_star(S), lattice).values
+    defect = _op_op_conv(_spreading(residual), _spreading(_checked_star(S)), lattice)
     return ApproxReport(
         mask=mask,
-        fourier_mask=op_op_conv(T, _dual(VS, symbol), lattice),
+        fourier_mask=_op_op_conv(VT, _spreading(_dual(VS, symbol)), lattice),
         approximant=approximant,
-        residual_hs=hs_norm(residual),
-        orthogonality_defect=float(np.max(np.abs(defect))),
+        residual_hs=float(np.linalg.norm(residual)),
+        orthogonality_defect=float(np.max(np.abs(defect.values))),
     )
 
 
@@ -248,8 +254,8 @@ def recover_mask(G, S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> MaskReco
     G = as_operator(G, L=lattice.L)
     VS = _spreading(as_operator(S, L=lattice.L))
     symbol = _riesz_symbol(VS, lattice, zero_tol)
-    mask, approximant = _project(G, VS, symbol, lattice)
-    return MaskRecovery(mask=mask, residual_hs=hs_norm(G - approximant))
+    mask, approximant = _project(_spreading(G), VS, symbol, lattice)
+    return MaskRecovery(mask=mask, residual_hs=float(np.linalg.norm(G - approximant)))
 
 
 @dataclass(eq=False)
@@ -314,11 +320,11 @@ def nonassociativity_witness(
     for _ in range(16):
         T0 = random_operator(lattice.L, rng)
         T = T0 - seq_op_conv(op_op_conv(T0, R, lattice), S)
-        if hs_norm(T) > 1e-8 * hs_norm(T0):
+        if np.linalg.norm(T) > 1e-8 * np.linalg.norm(T0):
             break
     else:  # pragma: no cover - the span is a proper subspace
         raise NotRieszError("failed to find a vector outside the module span")
-    return T, hs_norm(seq_op_conv(op_op_conv(T, R, lattice), S) - T)
+    return T, float(np.linalg.norm(seq_op_conv(op_op_conv(T, R, lattice), S) - T))
 
 
 def underspread_divide(
@@ -330,7 +336,7 @@ def underspread_divide(
     of a fundamental domain), V(S) must be supported inside it and V(T)
     must not vanish on it.  The divider has spreading function
     conj(chi) / (kappa V(T)) on the domain and zero outside, kappa = N / L.
-    FFT budget: 3 of size L x L.
+    FFT budget: 2 of size L x L and one over the domain's rows of V(A).
     """
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
@@ -360,7 +366,10 @@ def underspread_divide(
         raise DivisionByZeroError(
             f"spreading function of divisor vanishes at {(int(rows[i]), int(cols[i]))}"
         )
-    VA = np.zeros((L, L), dtype=np.complex128)
+    used, row = np.unique(rows, return_inverse=True)  # V(A) is zero on other rows
+    VA = np.zeros((used.size, L), dtype=np.complex128)
     chi = np.exp(2j * np.pi * (rows * cols % L) / L)
-    VA[rows, cols] = np.conj(chi) / ((lattice.size / L) * divisor)
-    return _unspreading(VA)
+    VA[row, cols] = np.conj(chi) / ((lattice.size / L) * divisor)
+    A = np.zeros(L * L, dtype=np.complex128)
+    A[_diagonal_index(L)[used]] = np.fft.ifft(VA, axis=1)  # _unspreading on those rows
+    return A.reshape(L, L)

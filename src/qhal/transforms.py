@@ -5,8 +5,8 @@ function V(S)(m, n) = trace(pi(m, n)* S), one L x L FFT over the gathered
 diagonals of S (``_spreading``, inverted by ``_unspreading``), and the
 symplectic Fourier series, one N-point FFT on the (L / a) x (L / b) grid of
 lattice points with a twiddle for the shear c.  The diagonal index and the
-integer chirp are built once per L, cached and read-only.  Each analysis
-docstring states its L x L FFT budget per request.
+integer chirp are built once per L, the twiddle once per lattice, all cached
+and read-only.  Each analysis docstring states its L x L FFT budget.
 
 Normalizations are chosen once and used everywhere:
 
@@ -147,11 +147,14 @@ def weyl_symbol(S) -> np.ndarray:
     return symplectic_dft(fourier_wigner(S))
 
 
+@functools.lru_cache(maxsize=8)
 def _shear_twiddle(lattice: Lattice) -> np.ndarray:
-    """exp(2 pi i (i c mod b) m / L) for i < L / a (rows) and m < L / b."""
+    """exp(2 pi i (i c mod b) m / L) for i < L / a (rows), m < L / b; read-only."""
     L, P, Q = lattice.L, lattice.L // lattice.a, lattice.L // lattice.b
     shift = np.arange(P) * lattice.c % lattice.b
-    return np.exp(2j * np.pi * (np.outer(shift, np.arange(Q)) % L) / L)
+    twiddle = np.exp(2j * np.pi * (np.outer(shift, np.arange(Q)) % L) / L)
+    twiddle.flags.writeable = False
+    return twiddle
 
 
 def symplectic_fourier_series(c: LatticeSequence) -> QuotientFunction:

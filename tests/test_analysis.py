@@ -175,6 +175,25 @@ def test_gram_eigenvalues_match_symbol_multiset():
         assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
 
 
+def test_riesz_spectrum_at_L225_needs_no_dense_gram(monkeypatch):
+    """N = 2025: the spectrum comes from the characters, so neither the
+    N x N Gram matrix nor an eigendecomposition is formed."""
+    import qhal.analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Gram route taken")
+
+    monkeypatch.setattr(qhal.analysis, "gram_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    lat = make_separable_lattice(5, 5, 225)
+    S = random_operator(225, np.random.default_rng(225))
+    eigs = riesz_report(S, lat).gram_eigenvalues
+    assert eigs.shape == (lat.size,)
+    assert np.all(np.diff(eigs) >= 0)
+    # trace(G) / N = g(0) = ||S||_HS^2
+    assert abs(eigs.mean() - hs_norm(S) ** 2) < 1e-12 * hs_norm(S) ** 2
+
+
 def test_gram_matrix_is_translation_invariant_hermitian():
     rng = np.random.default_rng(103)
     lat = make_separable_lattice(3, 3, 9)

@@ -38,9 +38,10 @@ from qhal import (
     underspread_divide,
     weyl_symbol,
 )
-from qhal.operators import random_operator
+from qhal.analysis import _checked_star
+from qhal.operators import parity_conjugate, random_operator
 from qhal.phase_space import Lattice
-from qhal.transforms import _chirp, _diagonal_index
+from qhal.transforms import _chirp, _diagonal_index, _shear_twiddle
 
 # sheared, N = 9 points, N != L^2; its adjoint box is 3 x 3
 LAT = make_general_lattice([(3, 1)], 9)
@@ -116,6 +117,14 @@ def test_layouts_give_the_c_order_result(name, layout):
         np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("layout", ["c"] + sorted(LAYOUTS))
+@pytest.mark.parametrize("L", [8, 9])
+def test_checked_star_gather_is_bit_equal(layout, L):
+    S = random_operator(L, np.random.default_rng(236))
+    moved = LAYOUTS.get(layout, np.ascontiguousarray)(S)
+    np.testing.assert_array_equal(_checked_star(moved), parity_conjugate(np.conj(S.T)))
+
+
 # -- FFT budget ----------------------------------------------------------------
 
 
@@ -141,17 +150,16 @@ def fft_shapes(monkeypatch):
 )
 def test_fft_budget_per_request(lattice, fft_shapes):
     """L x L FFTs per request as the docstrings state; the series FFTs
-    touch only N-point arrays."""
+    touch only N-point arrays, and the divide runs none."""
     L, N = lattice.L, lattice.size
     rng = np.random.default_rng(232)
     S, T = random_operator(L, rng), random_operator(L, rng)
     G = seq_op_conv(random_sequence(lattice, rng), S)
     U = np.eye(L, dtype=np.complex128)  # V(U) = L delta_0
     requests = {
-        "riesz_report": (lambda: riesz_report(S, lattice), 3),
-        "best_approximation": (lambda: best_approximation(T, S, lattice), 8),
+        "riesz_report": (lambda: riesz_report(S, lattice), 2),
+        "best_approximation": (lambda: best_approximation(T, S, lattice), 7),
         "recover_mask": (lambda: recover_mask(G, S, lattice), 3),
-        "underspread_divide": (lambda: underspread_divide(U, T, lattice, [(0, 0)]), 3),
     }
     for name, (request, budget) in requests.items():
         del fft_shapes[:]
@@ -159,6 +167,10 @@ def test_fft_budget_per_request(lattice, fft_shapes):
         full = [s for s in fft_shapes if s == (L, L)]
         assert len(full) == budget, name
         assert all(int(np.prod(s)) == N for s in fft_shapes if s != (L, L)), name
+    # V(U), V(T) and the inverse over the one row of V(A) that meets the domain
+    del fft_shapes[:]
+    underspread_divide(U, T, lattice, [(0, 0)])
+    assert fft_shapes == [(L, L), (L, L), (1, L)]
 
 
 @pytest.mark.parametrize(
@@ -177,19 +189,22 @@ def test_series_uses_only_lattice_size_ffts(lattice, fft_shapes):
 
 
 def test_constant_caches_are_bounded_read_only_and_hit():
-    for cached in (_chirp, _diagonal_index):
+    caches = (_chirp, _diagonal_index, _shear_twiddle)
+    for cached in caches:
         assert cached.cache_info().maxsize is not None
     L = LAT.L
-    for arr in (_chirp(L, 1), _diagonal_index(L)):
+    for arr in (_chirp(L, 1), _diagonal_index(L), _shear_twiddle(LAT)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0
     rng = np.random.default_rng(234)
     S, T = random_operator(L, rng), random_operator(L, rng)
+    _shear_twiddle.cache_clear()
     best_approximation(T, S, LAT)
-    before = [f.cache_info().misses for f in (_chirp, _diagonal_index)]
+    assert _shear_twiddle.cache_info().misses == 1  # one build for three series
+    before = [f.cache_info().misses for f in caches]
     best_approximation(T, S, LAT)
-    assert [f.cache_info().misses for f in (_chirp, _diagonal_index)] == before
+    assert [f.cache_info().misses for f in caches] == before
 
 
 # -- overflow inside internal grids ------------------------------------------------

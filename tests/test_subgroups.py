@@ -7,8 +7,8 @@ group Z_m x Z_n", 2014).  Their number is sum_{d1, d2 | L} gcd(d1, d2).
 The sweep enumerates the triples, checks the count and compares the
 lattice structure on every subgroup with L <= 16, and the series,
 periodization, convolutions and analysis on every subgroup with L <= 9
-(even L included), with the slow transcriptions in ``reference.py`` and
-dense least squares.
+(even L included), with the slow transcriptions in ``reference.py``, dense
+least squares and the dense Gram eigendecomposition.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from qhal import (
     best_approximation,
     biorthogonal_generator,
     delta_sequence,
+    gram_matrix,
     hs_norm,
     inverse_symplectic_fourier_series,
     make_general_lattice,
+    make_separable_lattice,
     nonassociativity_witness,
     op_op_conv,
     periodize,
@@ -137,6 +139,9 @@ def test_fourier_side_matches_oracles(L):
         eigs = np.sort(report.gram_eigenvalues)
         vals = np.sort(report.symbol.values.real)
         assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
+        dense = np.linalg.eigvalsh(gram_matrix(S, lat))
+        dev = np.max(np.abs(report.gram_eigenvalues - dense))
+        assert dev < 1e-12 * report.upper, (a, c, b)
         assert tauberian_diagnostics(S, lat).consistent, (a, c, b)
 
         D = synthesis_map(S, lat).matrix
@@ -164,6 +169,15 @@ def test_fourier_side_matches_oracles(L):
         h = ref.op_op_conv_slow(Su, T, lat.points, L)
         rebuilt = ref.seq_op_conv_slow(lat.points, h, A, L)
         assert hs_norm(rebuilt - Su) < 1e-11 * hs_norm(Su), (a, c, b)
+
+
+def test_gram_spectrum_matches_dense_eigvalsh_at_L105():
+    lat = make_separable_lattice(3, 5, 105)  # N = 735
+    S = random_operator(105, np.random.default_rng(105))
+    report = riesz_report(S, lat)
+    dense = np.linalg.eigvalsh(gram_matrix(S, lat))
+    assert report.gram_eigenvalues.shape == (735,)
+    assert np.max(np.abs(report.gram_eigenvalues - dense)) < 1e-12 * report.upper
 
 
 def test_basis_from_random_generators():
