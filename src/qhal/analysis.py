@@ -12,7 +12,9 @@ alpha_lambda(S), a convolution on Lambda that its characters diagonalize.
 The translates form a Riesz sequence precisely when the symbol has no
 zeros.  Dividing by it then yields the biorthogonal generator and the
 orthogonal projection onto the span, which serves both best approximation
-and exact mask recovery.  No default path forms the dense Gram matrix.
+and exact mask recovery.  The projection's cross-checks are direct sums on
+the gathered diagonals and share no FFT with it.  No default path forms the
+dense Gram matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ from .phase_space import (
 from .transforms import (
     _chirp,
     _diagonal_index,
+    _diagonals,
     _periodize,
     _spreading,
+    _undiagonals,
     _unspreading,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
@@ -111,17 +115,60 @@ def _dual(VS: np.ndarray, symbol: QuotientFunction) -> np.ndarray:
     return _unspreading(np.conj(chi * VS) / lift_quotient_function(symbol))
 
 
-def _project(VT: np.ndarray, VS: np.ndarray, symbol: QuotientFunction, lattice):
-    """Mask and approximant of the orthogonal projection of T onto the span.
+def _project(VT: np.ndarray, VS: np.ndarray, symbol: QuotientFunction):
+    """The series of the mask of the orthogonal projection of T onto the span.
 
-    The mask's series is periodize(V(T) conj(V(S))) / symbol, and the
-    approximant's spreading function is that series times V(S).
+    It is periodize(V(T) conj(V(S))) / symbol; the approximant's spreading
+    function is its lift times V(S).
     """
     cross = _periodize(VT * np.conj(VS), symbol.quotient.lattice)
-    ratio = QuotientFunction(cross.quotient, cross.values / symbol.values)
-    mask = inverse_symplectic_fourier_series(ratio, lattice)
-    approximant = _unspreading(lift_quotient_function(ratio) * VS)
-    return mask, approximant
+    return QuotientFunction(cross.quotient, cross.values / symbol.values)
+
+
+def _roots(L: int) -> np.ndarray:
+    """exp(-2 pi i t / L) for t < L; index it with integer exponents mod L."""
+    return np.exp(-2j * np.pi * np.arange(L) / L)
+
+
+def _sampled_inner_products(
+    DX: np.ndarray, DS: np.ndarray, lattice: Lattice
+) -> np.ndarray:
+    """<X, alpha_lambda(S)> at the lattice points on the first two basis rows,
+    lambda = (i a, (i c mod b) + k b) for i < min(2, L / a), from the gathered
+    diagonals DX of X and DS of S, without an FFT.
+
+    Diagonal d of alpha_lambda(S) is exp(2 pi i n d / L) DS[d, a - m], so the
+    value is sum_d exp(-2 pi i n d / L) corr[d] with corr[d] = sum_a DX[d, a]
+    conj(DS[d, a - m]): O(L^2) per row, in point order.
+    """
+    L, Q = lattice.L, lattice.L // lattice.b
+    shifts = (0, lattice.a)[: min(2, L // lattice.a)]
+    conj_S = np.conj(DS)
+    corr = [  # a - m wraps below a = m
+        np.einsum("da,da->d", DX[:, m:], conj_S[:, : L - m])
+        + np.einsum("da,da->d", DX[:, :m], conj_S[:, L - m :])
+        for m in shifts
+    ]
+    n = lattice.coords[1][: len(shifts) * Q]
+    table = _roots(L)[np.outer(n, np.arange(L)) % L].reshape(len(shifts), Q, L)
+    return np.einsum("ikd,id->ik", table, corr).ravel()
+
+
+def _synthesis_row(mask: LatticeSequence, S: np.ndarray) -> np.ndarray:
+    """Row 0 of mask conv S, summed directly over all N lattice points.
+
+    (c conv S)[0, j] = sum_lambda c(lambda) exp(-2 pi i n j / L) S[-m, j - m].
+    With lambda = (p a, s_p + k b), s_p = p c mod b, the sum over k is a
+    (L / a x L / b) by (L / b x L) matrix product, then the shear phase
+    exp(-2 pi i s_p j / L) and a gather of S finish it: O(N L), no FFT.
+    """
+    lat = mask.lattice
+    L, P, Q = lat.L, lat.L // lat.a, lat.L // lat.b
+    roots, j, p = _roots(L), np.arange(L), np.arange(P)[:, None]
+    inner = mask.values.reshape(P, Q) @ roots[np.arange(Q)[:, None] * lat.b * j % L]
+    m = p * lat.a
+    shear = roots[(p * lat.c % lat.b) * j % L]
+    return np.einsum("pj,pj->j", inner * shear, S[-m % L, (j - m) % L])
 
 
 def gram_matrix(S, lattice: Lattice) -> np.ndarray:
@@ -197,18 +244,23 @@ def biorthogonal_generator(
 
 @dataclass(eq=False)
 class ApproxReport:
-    """``mask`` comes from the projection; ``fourier_mask`` is the same mask
-    computed independently as T conv R, with R the biorthogonal generator."""
+    """The projection of T onto the span and two cross-checks that share no
+    FFT with it.
+
+    ``orthogonality_defect`` is max |<T - approximant, alpha_lambda(S)>| over
+    the lattice points on the first two basis rows (the normal equations,
+    sampled).  ``mask_agreement`` is max_j |approximant[0, j] - (mask conv
+    S)[0, j]|, with row 0 of the synthesis summed directly over all N points,
+    so a wrong value anywhere in the mask shows.  The full forms over all
+    points are ``op_op_conv(T - approximant, checked(S*))`` and
+    ``op_op_conv(T, biorthogonal_generator(S))`` against the mask.
+    """
 
     mask: LatticeSequence
-    fourier_mask: LatticeSequence
     approximant: np.ndarray
     residual_hs: float
     orthogonality_defect: float
-
-    @property
-    def mask_agreement(self) -> float:
-        return float(np.max(np.abs(self.mask.values - self.fourier_mask.values)))
+    mask_agreement: float
 
 
 def best_approximation(
@@ -216,24 +268,30 @@ def best_approximation(
 ) -> ApproxReport:
     """Best HS approximation of T from the span of the translates of S.
 
-    The symbol and V(T) are computed once; they give both the projection
-    and the cross-check T conv R with the biorthogonal generator R, which
-    goes through its operator form.  FFT budget: 7 of size L x L, 3 for the
-    projection and 4 for the two cross-checks.
+    The mask's series is periodize(V(T) conj V(S)) / symbol, and the
+    approximant's diagonals are the inverse FFT of its lift times V(S).  The
+    cross-checks run on the gathered diagonals: O(L^2) for the sampled normal
+    equations, O(N L) for the synthesized row.  FFT budget: 3 of size L x L
+    (V(S), V(T) and the approximant), none in the checks; the series runs on
+    N points.
     """
     T = as_operator(T, L=lattice.L)
     S = as_operator(S, L=lattice.L)
-    VS, VT = _spreading(S), _spreading(T)
+    DS, DT = _diagonals(S), _diagonals(T)
+    VS = np.fft.fft(DS, axis=1)
     symbol = _riesz_symbol(VS, lattice, zero_tol)
-    mask, approximant = _project(VT, VS, symbol, lattice)
-    residual = T - approximant
-    defect = _op_op_conv(_spreading(residual), _spreading(_checked_star(S)), lattice)
+    ratio = _project(np.fft.fft(DT, axis=1), VS, symbol)
+    mask = inverse_symplectic_fourier_series(ratio, lattice)
+    D_fit = np.fft.ifft(lift_quotient_function(ratio) * VS, axis=1)
+    approximant = _undiagonals(D_fit)
+    residual = np.subtract(DT, D_fit, out=DT)  # the diagonals of T - approximant
+    defect = _sampled_inner_products(residual, DS, lattice)
     return ApproxReport(
         mask=mask,
-        fourier_mask=_op_op_conv(VT, _spreading(_dual(VS, symbol)), lattice),
         approximant=approximant,
         residual_hs=float(np.linalg.norm(residual)),
-        orthogonality_defect=float(np.max(np.abs(defect.values))),
+        orthogonality_defect=float(np.max(np.abs(defect))),
+        mask_agreement=float(np.max(np.abs(approximant[0] - _synthesis_row(mask, S)))),
     )
 
 
@@ -248,14 +306,18 @@ def recover_mask(G, S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> MaskReco
 
     For G = c conv S the recovered mask equals c exactly; for general G
     the result is the mask of the best approximant and residual_hs
-    measures the distance of G to the module span.  FFT budget: 3 of size
-    L x L; the series runs on N points.
+    measures the distance of G to the module span, by Parseval
+    ||V(G) - lift(series) V(S)|| / sqrt(L), so the approximant is never
+    formed.  FFT budget: 2 of size L x L; the series runs on N points.
     """
-    G = as_operator(G, L=lattice.L)
+    VG = _spreading(as_operator(G, L=lattice.L))
     VS = _spreading(as_operator(S, L=lattice.L))
-    symbol = _riesz_symbol(VS, lattice, zero_tol)
-    mask, approximant = _project(_spreading(G), VS, symbol, lattice)
-    return MaskRecovery(mask=mask, residual_hs=float(np.linalg.norm(G - approximant)))
+    ratio = _project(VG, VS, _riesz_symbol(VS, lattice, zero_tol))
+    VG -= lift_quotient_function(ratio) * VS
+    return MaskRecovery(
+        mask=inverse_symplectic_fourier_series(ratio, lattice),
+        residual_hs=float(np.linalg.norm(VG) / np.sqrt(lattice.L)),
+    )
 
 
 @dataclass(eq=False)

@@ -96,17 +96,27 @@ def _diagonal_index(L: int) -> np.ndarray:
     return idx
 
 
+def _diagonals(S: np.ndarray) -> np.ndarray:
+    """The gathered diagonals D[m, a] = S[a, a - m], a permutation of S."""
+    return S.ravel().take(_diagonal_index(S.shape[0]))
+
+
+def _undiagonals(D: np.ndarray) -> np.ndarray:
+    """The operator whose gathered diagonals are D."""
+    L = D.shape[0]
+    S = np.empty(L * L, dtype=np.complex128)
+    S[_diagonal_index(L)] = D
+    return S.reshape(L, L)
+
+
 def _spreading(S: np.ndarray) -> np.ndarray:
     """V(S)(m, n) = trace(pi(m, n)* S) = sum_a exp(-2 pi i n a / L) S[a, a - m]."""
-    return np.fft.fft(S.ravel().take(_diagonal_index(S.shape[0])), axis=1)
+    return np.fft.fft(_diagonals(S), axis=1)
 
 
 def _unspreading(V: np.ndarray) -> np.ndarray:
     """The operator whose spreading function is V."""
-    L = V.shape[0]
-    S = np.empty(L * L, dtype=np.complex128)
-    S[_diagonal_index(L)] = np.fft.ifft(V, axis=1)
-    return S.reshape(L, L)
+    return _undiagonals(np.fft.ifft(V, axis=1))
 
 
 def stft(psi, phi) -> np.ndarray:

@@ -94,7 +94,7 @@ def test_invalid_zero_tolerance_is_rejected():
 
 def test_chirp_builds_per_request(monkeypatch):
     """Analysis asks for the integer chirp only in op_op_conv and in the dual,
-    never the half chirp: riesz 1, approx 3, recover 0, divide 0.  The
+    never the half chirp: riesz 1, approx 0, recover 0, divide 0.  The
     chirp is cached per L, so these are lookups, not builds."""
     import qhal.analysis
     import qhal.convolutions
@@ -127,7 +127,7 @@ def test_chirp_builds_per_request(monkeypatch):
             start = len(calls)
             request()
             counts.append(len(calls) - start)
-        assert counts == [1, 3, 0, 0], L
+        assert counts == [1, 0, 0, 0], L
     assert set(calls) == {1}
 
 
@@ -376,6 +376,51 @@ def test_best_approximation_is_idempotent():
     second = best_approximation(first.approximant, S, lat)
     assert np.max(np.abs(second.mask.values - first.mask.values)) < 1e-10
     assert second.residual_hs < 1e-10
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [make_general_lattice([(3, 1)], 9), make_separable_lattice(2, 4, 8)],
+    ids=repr,
+)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_approx_checks_catch_a_wrong_mask_or_ratio(lat, where, monkeypatch):
+    """A 1e-6 error in one mask value moves mask_agreement; one in the
+    approximant's ratio on one coset moves both fields past 1e-9."""
+    import qhal.analysis
+
+    rng = np.random.default_rng(117)
+    S, T = random_operator(lat.L, rng), random_operator(lat.L, rng)
+    clean = best_approximation(T, S, lat)
+    assert clean.mask_agreement < 1e-12 and clean.orthogonality_defect < 1e-12
+    index = 0 if where == "first" else -1
+
+    def bump(values):
+        values = values.copy()
+        values[index] += 1e-6
+        return values
+
+    series = qhal.analysis.inverse_symplectic_fourier_series
+    with monkeypatch.context() as m:
+        m.setattr(
+            qhal.analysis,
+            "inverse_symplectic_fourier_series",
+            lambda F, lat: LatticeSequence(lat, bump(series(F, lat).values)),
+        )
+        report = best_approximation(T, S, lat)
+    assert report.mask_agreement > 1e-9
+    assert report.orthogonality_defect < 1e-12  # the approximant is untouched
+
+    lift = qhal.analysis.lift_quotient_function  # only the approximant lifts
+    with monkeypatch.context() as m:
+        m.setattr(
+            qhal.analysis,
+            "lift_quotient_function",
+            lambda F: lift(QuotientFunction(F.quotient, bump(F.values))),
+        )
+        report = best_approximation(T, S, lat)
+    assert report.mask_agreement > 1e-9
+    assert report.orthogonality_defect > 1e-9
 
 
 # -- mask recovery -----------------------------------------------------------

@@ -38,10 +38,10 @@ from qhal import (
     underspread_divide,
     weyl_symbol,
 )
-from qhal.analysis import _checked_star
+from qhal.analysis import _checked_star, _sampled_inner_products, _synthesis_row
 from qhal.operators import parity_conjugate, random_operator
 from qhal.phase_space import Lattice
-from qhal.transforms import _chirp, _diagonal_index, _shear_twiddle
+from qhal.transforms import _chirp, _diagonal_index, _diagonals, _shear_twiddle
 
 # sheared, N = 9 points, N != L^2; its adjoint box is 3 x 3
 LAT = make_general_lattice([(3, 1)], 9)
@@ -150,23 +150,31 @@ def fft_shapes(monkeypatch):
 )
 def test_fft_budget_per_request(lattice, fft_shapes):
     """L x L FFTs per request as the docstrings state; the series FFTs
-    touch only N-point arrays, and the divide runs none."""
+    touch only N-point arrays (2 per series: riesz runs two, approx and
+    recover one), no other FFT runs, and the divide runs none."""
     L, N = lattice.L, lattice.size
     rng = np.random.default_rng(232)
     S, T = random_operator(L, rng), random_operator(L, rng)
     G = seq_op_conv(random_sequence(lattice, rng), S)
     U = np.eye(L, dtype=np.complex128)  # V(U) = L delta_0
     requests = {
-        "riesz_report": (lambda: riesz_report(S, lattice), 2),
-        "best_approximation": (lambda: best_approximation(T, S, lattice), 7),
-        "recover_mask": (lambda: recover_mask(G, S, lattice), 3),
+        "riesz_report": (lambda: riesz_report(S, lattice), 2, 4),
+        "best_approximation": (lambda: best_approximation(T, S, lattice), 3, 2),
+        "recover_mask": (lambda: recover_mask(G, S, lattice), 2, 2),
     }
-    for name, (request, budget) in requests.items():
+    for name, (request, budget, series) in requests.items():
         del fft_shapes[:]
         request()
         full = [s for s in fft_shapes if s == (L, L)]
         assert len(full) == budget, name
         assert all(int(np.prod(s)) == N for s in fft_shapes if s != (L, L)), name
+        assert len(fft_shapes) == budget + series, name
+    # the approx cross-checks run no FFT of any size
+    report = best_approximation(T, S, lattice)
+    del fft_shapes[:]
+    _sampled_inner_products(_diagonals(T - report.approximant), _diagonals(S), lattice)
+    _synthesis_row(report.mask, S)
+    assert fft_shapes == []
     # V(U), V(T) and the inverse over the one row of V(A) that meets the domain
     del fft_shapes[:]
     underspread_divide(U, T, lattice, [(0, 0)])
@@ -201,7 +209,7 @@ def test_constant_caches_are_bounded_read_only_and_hit():
     S, T = random_operator(L, rng), random_operator(L, rng)
     _shear_twiddle.cache_clear()
     best_approximation(T, S, LAT)
-    assert _shear_twiddle.cache_info().misses == 1  # one build for three series
+    assert _shear_twiddle.cache_info().misses == 1  # one build for the mask's series
     before = [f.cache_info().misses for f in caches]
     best_approximation(T, S, LAT)
     assert [f.cache_info().misses for f in caches] == before

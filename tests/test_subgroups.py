@@ -8,7 +8,9 @@ The sweep enumerates the triples, checks the count and compares the
 lattice structure on every subgroup with L <= 16, and the series,
 periodization, convolutions and analysis on every subgroup with L <= 9
 (even L included), with the slow transcriptions in ``reference.py``, dense
-least squares and the dense Gram eigendecomposition.
+least squares and the dense Gram eigendecomposition.  The FFT-free approx
+cross-checks are compared there with the full ``op_op_conv`` and
+``seq_op_conv`` forms.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from qhal import (
     tf_shift,
     underspread_divide,
 )
+from qhal.analysis import _checked_star, _sampled_inner_products, _synthesis_row
 from qhal.operators import random_operator
+from qhal.transforms import _diagonals
 
 import reference as ref
 
@@ -108,6 +112,26 @@ def test_lattice_structure_matches_oracles(L):
         assert np.array_equal(q.coset_of, coset_of)
 
 
+def assert_sampled_checks_match_full_forms(T, S, lat, approx):
+    """The sampled normal equations equal op_op_conv(T - approximant,
+    checked(S*)) on the first two basis rows of points, the synthesized row
+    equals row 0 of seq_op_conv(mask, S), both to 1e-12 relative to the
+    norms, and the report's fields are their maxima."""
+    L = lat.L
+    residual = T - approx.approximant
+    sampled = _sampled_inner_products(_diagonals(residual), _diagonals(S), lat)
+    assert sampled.size == min(2, L // lat.a) * (L // lat.b)
+    full = op_op_conv(residual, _checked_star(S), lat).values[: sampled.size]
+    scale = hs_norm(residual) * hs_norm(S)
+    assert np.max(np.abs(sampled - full)) <= 1e-12 * scale, lat
+    row = _synthesis_row(approx.mask, S)
+    scale = np.linalg.norm(approx.mask.values) * hs_norm(S)
+    assert np.max(np.abs(row - seq_op_conv(approx.mask, S)[0])) <= 1e-12 * scale, lat
+    assert np.isclose(approx.orthogonality_defect, np.max(np.abs(sampled)), rtol=1e-9)
+    assert approx.mask_agreement == np.max(np.abs(approx.approximant[0] - row))
+    assert np.isclose(approx.residual_hs, hs_norm(residual), rtol=1e-12)
+
+
 @pytest.mark.parametrize("L", range(2, 10))
 def test_fourier_side_matches_oracles(L):
     rng = np.random.default_rng(L)
@@ -149,6 +173,7 @@ def test_fourier_side_matches_oracles(L):
         approx = best_approximation(T, S, lat)
         assert np.allclose(approx.mask.values, lsq, atol=1e-11), (a, c, b)
         assert np.allclose(approx.approximant.reshape(-1), D @ lsq, atol=1e-11)
+        assert_sampled_checks_match_full_forms(T, S, lat, approx)
         got = recover_mask(seq_op_conv(cs, S), S, lat).mask
         assert np.allclose(got.values, cs.values, atol=1e-11), (a, c, b)
         R = biorthogonal_generator(S, lat)
@@ -178,6 +203,13 @@ def test_gram_spectrum_matches_dense_eigvalsh_at_L105():
     dense = np.linalg.eigvalsh(gram_matrix(S, lat))
     assert report.gram_eigenvalues.shape == (735,)
     assert np.max(np.abs(report.gram_eigenvalues - dense)) < 1e-12 * report.upper
+
+
+def test_sampled_checks_match_full_forms_at_L225():
+    lat = make_general_lattice([(15, 1)], 225)  # a = b = 15, shear c = 1
+    rng = np.random.default_rng(225)
+    S, T = random_operator(225, rng), random_operator(225, rng)
+    assert_sampled_checks_match_full_forms(T, S, lat, best_approximation(T, S, lat))
 
 
 def test_basis_from_random_generators():
