@@ -8,13 +8,14 @@ and the half chirp squares to chi).  Central object: the symbol of S on Lambda,
 
 is real and nonnegative, and its values over the cosets of the adjoint
 lattice are exactly the eigenvalues of the Gram matrix of the translates
-alpha_lambda(S), a convolution on Lambda that its characters diagonalize.
-The translates form a Riesz sequence precisely when the symbol has no
-zeros.  Dividing by it then yields the biorthogonal generator and the
-orthogonal projection onto the span, which serves both best approximation
-and exact mask recovery.  The projection's cross-checks are direct sums on
-the gathered diagonals and share no FFT with it.  No default path forms the
-dense Gram matrix.
+alpha_lambda(S), a convolution on Lambda that its characters diagonalize
+(its kernel S conv checked(S*) has the symbol as its series, as
+V(checked(S*)) = conj(chi V(S))), so the sorted symbol is the Gram spectrum.
+The translates form a Riesz sequence precisely when the symbol has no zeros.
+Dividing by it yields the biorthogonal generator and the orthogonal
+projection onto the span, which serves both best approximation and exact
+mask recovery.  The projection's cross-checks are direct sums on the
+gathered diagonals and share no FFT with it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolutions import _op_op_conv, op_op_conv, seq_op_conv, synthesis_map
+from .convolutions import op_op_conv, seq_op_conv, synthesis_map
 from .errors import (
     DivisionByZeroError,
     FullLatticeError,
@@ -54,7 +55,6 @@ from .transforms import (
     _unspreading,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
-    symplectic_fourier_series,
 )
 
 __all__ = [
@@ -107,12 +107,6 @@ def _riesz_symbol(VS: np.ndarray, lattice: Lattice, zero_tol: float):
             f"symbol vanishes on {len(zero)} cosets; no biorthogonal generator exists"
         )
     return symbol
-
-
-def _dual(VS: np.ndarray, symbol: QuotientFunction) -> np.ndarray:
-    """The biorthogonal generator: V(R) = conj(chi V(S)) / symbol."""
-    chi = _chirp(VS.shape[0], 1)
-    return _unspreading(np.conj(chi * VS) / lift_quotient_function(symbol))
 
 
 def _project(VT: np.ndarray, VS: np.ndarray, symbol: QuotientFunction):
@@ -176,9 +170,10 @@ def gram_matrix(S, lattice: Lattice) -> np.ndarray:
 
     Entry (i, j) is <alpha_j S, alpha_i S> = (S conv checked(S*))(p_i - p_j),
     so the matrix is constant along lattice differences.  This dense form is
-    for the tests and the suite; ``riesz_report`` needs only column 0.  It is
-    gathered from a 2 x 2 tiling of the grid, where p_i - p_j + (L, L) needs
-    no reduction mod L; the N x N flat index is int32 (4 L^2 fits).
+    for the tests and the suite; ``riesz_report`` takes its spectrum from the
+    symbol and never forms it.  It is gathered from a 2 x 2 tiling of the
+    grid, where p_i - p_j + (L, L) needs no reduction mod L; the N x N flat
+    index is int32 (4 L^2 fits).
     """
     S = as_operator(S, L=lattice.L)
     L = lattice.L
@@ -211,22 +206,21 @@ def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport
     """Frame-theoretic health check of the lattice translates of S.
 
     The bounds are the extremes of the symbol.  The Gram matrix convolves
-    by g = S conv checked(S*) on the lattice, so its eigenvalues (ascending,
-    as from eigvalsh) are the series of g; g goes through V(checked(S*)),
-    apart from the symbol.  FFT budget: 2 of size L x L; series on N points.
+    by g = S conv checked(S*) on the lattice, so its eigenvalues are the
+    series of g, periodize(chi V(S) V(checked(S*))).  As V(checked(S*)) =
+    conj(chi V(S)) pointwise, that is periodize(|V(S)|^2), the symbol: the
+    eigenvalues (ascending, as from eigvalsh) are its sorted values.  FFT
+    budget: 1 of size L x L (V(S)); no series.
     """
-    S = as_operator(S, L=lattice.L)
-    VS = _spreading(S)
-    symbol, zero = _symbol(VS, lattice, zero_tol)
-    gram = _op_op_conv(VS, _spreading(_checked_star(S)), lattice)
-    vals = symbol.values.real
+    symbol, zero = _symbol(_spreading(as_operator(S, L=lattice.L)), lattice, zero_tol)
+    eigs = np.sort(symbol.values.real)
     return RieszReport(
         lattice=lattice,
         symbol=symbol,
-        lower=float(vals.min()),
-        upper=float(vals.max()),
+        lower=float(eigs[0]),
+        upper=float(eigs[-1]),
         zero_cosets=zero,
-        gram_eigenvalues=np.sort(symplectic_fourier_series(gram).values.real),
+        gram_eigenvalues=eigs,
     )
 
 
@@ -235,11 +229,13 @@ def biorthogonal_generator(
 ) -> np.ndarray:
     """The operator R with (S conv R)(lambda) = delta_0(lambda).
 
-    R = b conv checked(S*), where the series of b inverts the symbol;
-    requires the translates of S to be Riesz.
+    R = b conv checked(S*), where the series of b inverts the symbol, so
+    V(R) = conj(chi V(S)) / symbol; requires the translates of S to be Riesz.
     """
     VS = _spreading(as_operator(S, L=lattice.L))
-    return _dual(VS, _riesz_symbol(VS, lattice, zero_tol))
+    symbol = _riesz_symbol(VS, lattice, zero_tol)
+    chi = _chirp(lattice.L, 1)
+    return _unspreading(np.conj(chi * VS) / lift_quotient_function(symbol))
 
 
 @dataclass(eq=False)
@@ -348,14 +344,14 @@ def tauberian_diagnostics(
     equals the number of zero cosets.
     """
     S = as_operator(S, L=lattice.L)
-    symbol, zero = _symbol(_spreading(S), lattice, zero_tol)
+    riesz = riesz_report(S, lattice, zero_tol)
     sing = np.linalg.svd(synthesis_map(S, lattice).matrix, compute_uv=False)
     rank = int(np.count_nonzero(sing > RANK_RTOL * sing.max(initial=0.0)))
     return TauberianReport(
         lattice=lattice,
-        lower=float(symbol.values.real.min()),
-        upper=float(symbol.values.real.max()),
-        zero_cosets=zero,
+        lower=riesz.lower,
+        upper=riesz.upper,
+        zero_cosets=riesz.zero_cosets,
         synthesis_rank=rank,
         kernel_dim=lattice.size - rank,
     )
@@ -407,7 +403,7 @@ def underspread_divide(
         raise ValueError(f"domain coordinates must be integers, got {domain!r}")
     L = lattice.L
     rows, cols = np.asarray(domain, dtype=np.int64).reshape(-1, 2).T % L
-    cosets = quotient_reps(adjoint_lattice(lattice)).coset_of[rows, cols]
+    cosets = quotient_reps(adjoint_lattice(lattice)).locate(rows, cols)
     if np.unique(cosets).size != cosets.size:
         raise ValueError(
             "domain meets some adjoint coset twice; not part of a fundamental domain"

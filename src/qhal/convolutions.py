@@ -70,12 +70,7 @@ def op_op_conv(S, T, lattice: Lattice) -> LatticeSequence:
     """
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
-    return _op_op_conv(_spreading(S), _spreading(T), lattice)
-
-
-def _op_op_conv(VS: np.ndarray, VT: np.ndarray, lattice: Lattice) -> LatticeSequence:
-    """``op_op_conv`` from the spreading functions VS = V(S) and VT = V(T)."""
-    product = _chirp(lattice.L, 1) * VS * VT
+    product = _chirp(lattice.L, 1) * _spreading(S) * _spreading(T)
     return inverse_symplectic_fourier_series(
         _periodize(product, adjoint_lattice(lattice)), lattice
     )

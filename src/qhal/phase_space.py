@@ -195,13 +195,12 @@ def adjoint_lattice(lattice: Lattice) -> Lattice:
 class QuotientIndex:
     """The box transversal {0..a-1} x {0..b-1} of Z_L x Z_L modulo a subgroup.
 
-    ``coset_of[m, n]`` is the position in the row-major box of the coset
+    ``locate(m, n)`` is the position in the row-major box of the coset
     through ``(m, n)``.  ``coords`` holds the box as two int arrays; the
     tuple ``reps`` is built on first use.
     """
 
     lattice: Lattice
-    coset_of: np.ndarray
 
     @property
     def size(self) -> int:
@@ -217,24 +216,27 @@ class QuotientIndex:
     def reps(self) -> tuple[PhasePoint, ...]:
         return tuple(zip(*np.array(self.coords).tolist()))
 
+    def locate(self, m, n):
+        """Box position of the coset of (m, n) in [0, size), ints or int arrays:
+        minus floor(m / a) (a, c) then mod (0, b) lands in the box."""
+        a, c, b = self.lattice.a, self.lattice.c, self.lattice.b
+        return (m % a) * b + (n - (m // a) * c) % b
+
+    @property
+    def coset_of(self) -> np.ndarray:
+        """``locate`` over the whole L x L grid, computed on each access."""
+        L = self.lattice.L
+        return self.locate(np.arange(L)[:, None], np.arange(L))
+
     def coset_index(self, z) -> int:
-        m, n = reduce_point(z, self.lattice.L)
-        return int(self.coset_of[m, n])
+        return int(self.locate(*reduce_point(z, self.lattice.L)))
 
 
 @functools.lru_cache(maxsize=16)
 def quotient_reps(subgroup: Lattice) -> QuotientIndex:
-    """The box transversal of Z_L x Z_L modulo the subgroup, with ``coset_of``.
-
-    Subtracting floor(m / a) (a, c) moves (m, n) to (m mod a, .), and (0, b)
-    reduces the second coordinate mod b.  Each box point comes first in its
-    coset in row-major order.
-    """
-    L, a, c, b = subgroup.L, subgroup.a, subgroup.c, subgroup.b
-    m = np.arange(L)[:, None]
-    coset_of = (m % a) * b + (np.arange(L) - (m // a) * c) % b
-    coset_of.flags.writeable = False
-    return QuotientIndex(lattice=subgroup, coset_of=coset_of)
+    """The box transversal of Z_L x Z_L modulo the subgroup; each box point
+    comes first in its coset in row-major order."""
+    return QuotientIndex(lattice=subgroup)
 
 
 def separable_profile(lattice: Lattice):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EvenDimensionError, LatticeMismatchError
 from .operators import _finite, as_operator, as_signal, rank_one
@@ -215,5 +216,22 @@ def periodize(f, subgroup: Lattice) -> QuotientFunction:
 
 
 def lift_quotient_function(F: QuotientFunction) -> np.ndarray:
-    """Unfold coset values to the full (L, L) grid."""
-    return F.values[F.quotient.coset_of]
+    """Unfold coset values to the full (L, L) grid, building no index table.
+
+    Row m = i a + r holds box[r, (n - i c) mod b] at column n: the window of
+    length L at (-i c) mod b into box row r tiled along the columns.  On a
+    product subgroup (c = 0) every row block is the box itself, so a
+    broadcast copy fills the grid without the tiling and the windows'
+    gather, whose fixed cost exceeds the copy at small L.  The result owns
+    its memory, so products with it can reuse it in place.
+    """
+    sub = F.quotient.lattice
+    L, a, c, b = sub.L, sub.a, sub.c, sub.b
+    box = F.values.reshape(a, b)
+    if c == 0:
+        out = np.empty((L, L), dtype=np.complex128)
+        out.reshape(L // a, a, L // b, b)[...] = box[:, None, :]
+        return out
+    windows = sliding_window_view(np.tile(box, (1, L // b + 1)).ravel(), L)
+    starts = -np.arange(L // a)[:, None] * c % b + np.arange(a) * (L + b)
+    return windows[starts.ravel()]  # row r of the tiling starts at r (L + b)

@@ -35,6 +35,7 @@ from qhal import (
     riesz_report,
     schatten_norm,
     seq_op_conv,
+    symplectic_fourier_series,
     synthesis_map,
     tauberian_diagnostics,
     tf_shift,
@@ -43,6 +44,7 @@ from qhal import (
 )
 from qhal.analysis import _checked_star
 from qhal.operators import random_operator, random_signal
+from qhal.transforms import _chirp, _spreading, _unspreading
 
 import reference as ref
 
@@ -94,8 +96,9 @@ def test_invalid_zero_tolerance_is_rejected():
 
 def test_chirp_builds_per_request(monkeypatch):
     """Analysis asks for the integer chirp only in op_op_conv and in the dual,
-    never the half chirp: riesz 1, approx 0, recover 0, divide 0.  The
-    chirp is cached per L, so these are lookups, not builds."""
+    never the half chirp: riesz 0 (its Gram spectrum is the symbol), approx
+    0, recover 0, divide 0, biorthogonal 1.  The chirp is cached per L, so
+    these are lookups, not builds."""
     import qhal.analysis
     import qhal.convolutions
     import qhal.transforms
@@ -121,13 +124,14 @@ def test_chirp_builds_per_request(monkeypatch):
             lambda: best_approximation(T, S, lat),
             lambda: recover_mask(G, S, lat),
             lambda: underspread_divide(Su, T, lat, [(0, 0)]),
+            lambda: biorthogonal_generator(S, lat),
         )
         counts = []
         for request in requests:
             start = len(calls)
             request()
             counts.append(len(calls) - start)
-        assert counts == [1, 0, 0, 0], L
+        assert counts == [0, 0, 0, 0, 1], L
     assert set(calls) == {1}
 
 
@@ -170,9 +174,10 @@ def test_gram_eigenvalues_match_symbol_multiset():
         lat = make_separable_lattice(a, b, L)
         S = random_operator(L, rng)
         report = riesz_report(S, lat)
-        eigs = np.sort(report.gram_eigenvalues)
+        eigs = np.linalg.eigvalsh(gram_matrix(S, lat))  # not through the symbol
         vals = np.sort(report.symbol.values.real)
         assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
+        assert np.array_equal(report.gram_eigenvalues, vals)
 
 
 def test_riesz_spectrum_at_L225_needs_no_dense_gram(monkeypatch):
@@ -192,6 +197,65 @@ def test_riesz_spectrum_at_L225_needs_no_dense_gram(monkeypatch):
     assert np.all(np.diff(eigs) >= 0)
     # trace(G) / N = g(0) = ||S||_HS^2
     assert abs(eigs.mean() - hs_norm(S) ** 2) < 1e-12 * hs_norm(S) ** 2
+
+
+@pytest.mark.parametrize(
+    "L, separable, shear",
+    [
+        (8, (2, 4), (2, 1)),
+        (9, (3, 3), (3, 1)),
+        (12, (2, 3), (2, 3)),
+        (15, (3, 5), (3, 1)),
+    ],
+)
+def test_checked_star_spreads_to_conjugate_chirp_times_spreading(L, separable, shear):
+    """V(checked(S*)) = conj(chi V(S)) pointwise, so the series of the Gram
+    kernel S conv checked(S*), periodize(chi V(S) V(checked(S*))), is the
+    symbol periodize(|V(S)|^2): the reason riesz_report takes its spectrum
+    from the symbol."""
+    S = random_operator(L, np.random.default_rng(150 + L))
+    VS = _spreading(S)
+    want = np.conj(_chirp(L, 1) * VS)
+    deviation = np.max(np.abs(_spreading(_checked_star(S)) - want))
+    assert deviation <= 1e-13 * np.abs(VS).max()
+    sheared = make_general_lattice([shear], L)
+    assert sheared.c != 0
+    for lat in (make_separable_lattice(*separable, L), sheared):
+        kernel = op_op_conv(S, _checked_star(S), lat)
+        series = symplectic_fourier_series(kernel).values
+        symbol = riesz_report(S, lat).symbol.values
+        assert np.max(np.abs(series - symbol)) <= 1e-13 * symbol.real.max(), lat
+
+
+def _masked_coset_operator(L, lattice, hole, rng):
+    """A generator whose spreading function vanishes on one adjoint coset."""
+    grid = np.exp(1j * rng.uniform(0, 2 * np.pi, (L, L))) * (1.0 + rng.random((L, L)))
+    rows, cols = adjoint_lattice(lattice).coords
+    grid[(rows + hole[0]) % L, (cols + hole[1]) % L] = 0.0
+    return _unspreading(grid)
+
+
+@pytest.mark.parametrize(
+    "case", ["3Z x 5Z at L = 105", "gens=15,1 at L = 225", "masked"]
+)
+def test_gram_eigenvalues_match_the_series_of_the_gram_kernel(case):
+    """The sorted symbol equals the route riesz_report no longer takes: the
+    series of S conv checked(S*) through op_op_conv, to 1e-12 of B."""
+    rng = np.random.default_rng(151)
+    if case == "masked":
+        lat = make_separable_lattice(3, 5, 15)
+        S = _masked_coset_operator(15, lat, (1, 2), rng)
+    elif case.startswith("3Z"):
+        lat = make_separable_lattice(3, 5, 105)
+        S = random_operator(105, rng)
+    else:
+        lat = make_general_lattice([(15, 1)], 225)
+        S = random_operator(225, rng)
+    report = riesz_report(S, lat)
+    kernel = op_op_conv(S, _checked_star(S), lat)
+    oracle = np.sort(symplectic_fourier_series(kernel).values.real)
+    assert np.max(np.abs(report.gram_eigenvalues - oracle)) <= 1e-12 * report.upper
+    assert len(report.zero_cosets) == (case == "masked")
 
 
 def test_gram_matrix_is_translation_invariant_hermitian():

@@ -1,9 +1,11 @@
 """The FFT kernels under the public API: memory layouts, FFT budgets per
-request, the per-L constant caches and overflow inside internal grids."""
+request, the per-L constant caches, overflow inside internal grids and the
+traced memory of one request."""
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from qhal import (
     LatticeSequence,
     NonFiniteError,
     QuotientFunction,
+    QuotientIndex,
+    adjoint_lattice,
     best_approximation,
     biorthogonal_generator,
     fourier_wigner,
@@ -27,6 +31,7 @@ from qhal import (
     nonassociativity_witness,
     op_op_conv,
     periodize,
+    quotient_reps,
     random_sequence,
     recover_mask,
     riesz_report,
@@ -150,15 +155,16 @@ def fft_shapes(monkeypatch):
 )
 def test_fft_budget_per_request(lattice, fft_shapes):
     """L x L FFTs per request as the docstrings state; the series FFTs
-    touch only N-point arrays (2 per series: riesz runs two, approx and
-    recover one), no other FFT runs, and the divide runs none."""
+    touch only N-point arrays (2 per series: approx and recover run one,
+    riesz none, since its Gram spectrum is the symbol), no other FFT runs,
+    and the divide runs none."""
     L, N = lattice.L, lattice.size
     rng = np.random.default_rng(232)
     S, T = random_operator(L, rng), random_operator(L, rng)
     G = seq_op_conv(random_sequence(lattice, rng), S)
     U = np.eye(L, dtype=np.complex128)  # V(U) = L delta_0
     requests = {
-        "riesz_report": (lambda: riesz_report(S, lattice), 2, 4),
+        "riesz_report": (lambda: riesz_report(S, lattice), 1, 0),
         "best_approximation": (lambda: best_approximation(T, S, lattice), 3, 2),
         "recover_mask": (lambda: recover_mask(G, S, lattice), 2, 2),
     }
@@ -229,3 +235,52 @@ def test_overflowed_internal_grid_is_refused():
             riesz_report(S, LAT)
         with pytest.raises(NonFiniteError):
             best_approximation(T, S, LAT)
+
+
+# -- memory at L = 1001 ------------------------------------------------------------
+
+
+def test_traced_memory_at_L1001(monkeypatch):
+    """7Z x 13Z at L = 1001 (N = 11011), after a warm-up call builds the per-L
+    constants: riesz traces at most 2.25 complex L x L arrays beyond its input
+    (V(S) and the diagonals it comes from; the second route through
+    checked(S*) traced 4.5).  No riesz, approx or recover call reads the
+    L x L coset table, and the quotient cache keeps no L x L array."""
+    L = 1001
+    lat = make_separable_lattice(7, 13, L)
+    rng = np.random.default_rng(1001)
+    S, T = random_operator(L, rng), random_operator(L, rng)
+    G = seq_op_conv(random_sequence(lat, rng), S)
+    requests = {
+        "riesz_report": lambda: riesz_report(S, lat),
+        "best_approximation": lambda: best_approximation(T, S, lat),
+        "recover_mask": lambda: recover_mask(G, S, lat),
+    }
+    for request in requests.values():
+        request()
+
+    def refuse(self):
+        raise AssertionError("L x L coset table built")
+
+    monkeypatch.setattr(QuotientIndex, "coset_of", property(refuse))
+    quotient_reps.cache_clear()
+    array = 16 * L * L
+    peaks = {}
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for name, request in requests.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            request()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / array
+        retained = (tracemalloc.get_traced_memory()[0] - start) / array
+    finally:
+        tracemalloc.stop()
+    assert peaks["riesz_report"] <= 2.25, peaks
+    # the lift's result owns its memory, so products reuse it: no extra array
+    assert peaks["best_approximation"] <= 6.5, peaks
+    assert peaks["recover_mask"] <= 3.5, peaks
+    assert retained < 0.05, retained  # the rebuilt quotient entries are small
+    for quotient in (quotient_reps(lat), quotient_reps(adjoint_lattice(lat))):
+        assert all(np.size(v) < L * L for v in vars(quotient).values())

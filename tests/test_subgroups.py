@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from qhal import (
+    QuotientFunction,
     adjoint_lattice,
     best_approximation,
     biorthogonal_generator,
@@ -28,6 +29,7 @@ from qhal import (
     gram_matrix,
     hs_norm,
     inverse_symplectic_fourier_series,
+    lift_quotient_function,
     make_general_lattice,
     make_separable_lattice,
     nonassociativity_witness,
@@ -110,6 +112,11 @@ def test_lattice_structure_matches_oracles(L):
         q = quotient_reps(lat)
         assert q.reps == reps, (a, c, b)
         assert np.array_equal(q.coset_of, coset_of)
+        assert [q.coset_index(z) for z in grid] == coset_of.ravel().tolist()
+        values = np.arange(q.size) * (1 - 2j)  # one distinct value per coset
+        lifted = lift_quotient_function(QuotientFunction(q, values))
+        assert np.array_equal(lifted, values[coset_of]), (a, c, b)
+        assert lifted.flags.owndata  # so products with it can reuse it in place
 
 
 def assert_sampled_checks_match_full_forms(T, S, lat, approx):
