@@ -1,7 +1,7 @@
 """Plain-text serialization for operators, signals, grids and sequences.
 
-All formats are line oriented, ASCII, with floats printed to 17
-significant digits so a write/read round trip is bit exact:
+All formats are line oriented, ASCII, with floats printed as ``%.17g`` so
+a write/read round trip is bit exact:
 
 * ``LATTICE v1``: header, ``L=<int>``, ``gens=<m>,<n>;<m>,<n>;...``
 * ``QHAL-OP v1 L=<int>``: L*L lines ``<re> <im>``, row major
@@ -10,12 +10,14 @@ significant digits so a write/read round trip is bit exact:
 * ``QHAL-QF v1 L=<int>``: embedded lattice record of the quotiented
   subgroup, then one ``<m> <n> <re> <im>`` line per coset
 * ``QHAL-SEQ v1``: embedded lattice record, then one line per point
+
+Each body is one table, read by ``np.loadtxt`` and written by ``%`` formatting.
 """
 
 from __future__ import annotations
 
-import math
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -48,23 +50,20 @@ __all__ = [
     "load_text",
 ]
 
+_PAIR = np.dtype([("re", "<f8"), ("im", "<f8")])
+_INDEXED = np.dtype([("m", "<i8"), ("n", "<i8"), ("z", _PAIR)])
+
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _complex_pair(z: complex) -> str:
-    return f"{format_float(z.real)} {format_float(z.imag)}"
-
-
 def save_text(path: str | os.PathLike, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(text)
+    Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
 def load_text(path: str | os.PathLike) -> str:
-    with open(path, "r", encoding="ascii") as handle:
-        return handle.read()
+    return Path(path).read_text(encoding="ascii")
 
 
 def _lines(text: str) -> list[str]:
@@ -74,36 +73,67 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_header(line: str, magic: str) -> int:
-    parts = line.split()
-    if len(parts) != 3 or parts[0] != magic or parts[1] != "v1":
-        raise FormatError(f"expected '{magic} v1 L=<int>' header, got {line!r}")
-    if not parts[2].startswith("L="):
-        raise FormatError(f"missing L= field in header {line!r}")
-    try:
-        L = int(parts[2][2:])
-    except ValueError:
-        raise FormatError(f"bad dimension in header {line!r}")
-    if L < 2:
-        raise FormatError(f"dimension must be at least 2 in header {line!r}")
-    return L
-
-
-def _parse_float(token: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"bad float {token!r}")
-    if not math.isfinite(value):
-        raise FormatError(f"non-finite float {token!r}")
-    return value
-
-
 def _parse_int(token: str) -> int:
     try:
         return int(token)
     except ValueError:
         raise FormatError(f"bad integer {token!r}")
+
+
+def _parse_dimension(field: str) -> int:
+    """The L of an 'L=<int>' field; L must be at least 2."""
+    L = _parse_int(field[2:]) if field.startswith("L=") else 0
+    if L < 2:
+        raise FormatError(f"expected L=<int> with L at least 2, got {field!r}")
+    return L
+
+
+def _parse_header(text: str, magic: str) -> tuple[int, list[str]]:
+    """L from the '<magic> v1 L=<int>' header line, and the lines after it."""
+    lines = _lines(text)
+    parts = lines[0].split()
+    if len(parts) != 3 or parts[0] != magic or parts[1] != "v1":
+        raise FormatError(f"expected '{magic} v1 L=<int>' header, got {lines[0]!r}")
+    return _parse_dimension(parts[2]), lines[1:]
+
+
+# -- tables ------------------------------------------------------------------
+
+
+def _read_table(lines: list[str], rows: int, place=None, L: int = 0) -> np.ndarray:
+    """``rows`` complex values from '<re> <im>' rows, in order; with ``place``,
+    from '<m> <n> <re> <im>' rows put in slot place(m % L, n % L), each once."""
+    if len(lines) != rows:
+        raise FormatError(f"expected {rows} rows, found {len(lines)}")
+    try:
+        table = np.loadtxt(lines, _INDEXED if place else _PAIR, comments=None, ndmin=1)
+    except ValueError as exc:  # drop numpy's hint about usecols
+        raise FormatError(str(exc).split(";")[0]) from None
+    if len(table) != rows:  # loadtxt skips blank lines
+        raise FormatError("blank line inside the table")
+    # the (re, im) record is laid out as one complex128, so -0.0 survives
+    values = (table if place is None else table["z"]).view(np.complex128)
+    if not np.isfinite(values).all():
+        floats = (t for line in lines for t in line.split()[-2:])
+        token = next(t for t in floats if not np.isfinite(float(t)))
+        raise FormatError(f"non-finite float {token!r}")
+    if place is None:
+        return values
+    slots = place(table["m"] % L, table["n"] % L)
+    if (np.bincount(slots, minlength=rows)[:rows] != 1).any():
+        raise FormatError("rows missing, repeated or off the record")
+    out = np.empty(rows, dtype=np.complex128)
+    out[slots] = values
+    return out
+
+
+def _write_table(values: np.ndarray, *coords: np.ndarray) -> str:
+    """One row per value, led by its integer coordinates, which ride in the
+    float64 table (exact below 2**53); ``%.17g`` is ``format_float``."""
+    table = np.column_stack([*coords, values.real, values.imag])
+    row = "%d " * len(coords) + "%.17g %.17g\n"
+    blocks = np.array_split(table, len(table) // 4096 + 1)  # few floats alive at once
+    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 # -- lattice records ---------------------------------------------------------
@@ -128,155 +158,75 @@ def _parse_gens(body: str) -> list[tuple[int, int]]:
 
 
 def _parse_lattice_lines(lines: list[str]) -> Lattice:
-    if len(lines) < 3 or lines[0] != "LATTICE v1":
-        raise FormatError("expected a 'LATTICE v1' record")
-    if not lines[1].startswith("L="):
-        raise FormatError(f"expected L=<int>, got {lines[1]!r}")
-    L = _parse_int(lines[1][2:])
+    if len(lines) != 3 or lines[0] != "LATTICE v1":
+        raise FormatError("expected a three-line 'LATTICE v1' record")
     if not lines[2].startswith("gens="):
         raise FormatError(f"expected gens=..., got {lines[2]!r}")
-    return make_general_lattice(_parse_gens(lines[2][5:]), L)
+    return make_general_lattice(_parse_gens(lines[2][5:]), _parse_dimension(lines[1]))
 
 
 def loads_lattice(text: str) -> Lattice:
     return _parse_lattice_lines(_lines(text))
 
 
-# -- dense operators and signals ---------------------------------------------
+# -- operators, signals, grids and sequences ---------------------------------
 
 
 def dumps_operator(S) -> str:
     S = as_operator(S)
-    L = S.shape[0]
-    rows = [f"QHAL-OP v1 L={L}"]
-    rows.extend(_complex_pair(z) for z in S.reshape(-1))
-    return "\n".join(rows) + "\n"
+    return f"QHAL-OP v1 L={S.shape[0]}\n" + _write_table(S.ravel())
 
 
 def loads_operator(text: str) -> np.ndarray:
-    lines = _lines(text)
-    L = _parse_header(lines[0], "QHAL-OP")
-    if len(lines) != 1 + L * L:
-        raise FormatError(f"expected {L * L} entries, found {len(lines) - 1}")
-    flat = np.empty(L * L, dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected '<re> <im>', got {line!r}")
-        flat[i] = complex(_parse_float(parts[0]), _parse_float(parts[1]))
-    return flat.reshape(L, L)
+    L, lines = _parse_header(text, "QHAL-OP")
+    return _read_table(lines, L * L).reshape(L, L)
 
 
 def dumps_signal(psi) -> str:
     psi = as_signal(psi)
-    rows = [f"QHAL-SIG v1 L={psi.shape[0]}"]
-    rows.extend(_complex_pair(z) for z in psi)
-    return "\n".join(rows) + "\n"
+    return f"QHAL-SIG v1 L={psi.shape[0]}\n" + _write_table(psi)
 
 
 def loads_signal(text: str) -> np.ndarray:
-    lines = _lines(text)
-    L = _parse_header(lines[0], "QHAL-SIG")
-    if len(lines) != 1 + L:
-        raise FormatError(f"expected {L} entries, found {len(lines) - 1}")
-    out = np.empty(L, dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected '<re> <im>', got {line!r}")
-        out[i] = complex(_parse_float(parts[0]), _parse_float(parts[1]))
-    return out
-
-
-# -- phase-space grids -------------------------------------------------------
+    L, lines = _parse_header(text, "QHAL-SIG")
+    return _read_table(lines, L)
 
 
 def dumps_phase_function(f) -> str:
     f = as_phase_function(f)
-    L = f.shape[0]
-    rows = [f"QHAL-PF v1 L={L}"]
-    for m in range(L):
-        for n in range(L):
-            rows.append(f"{m} {n} {_complex_pair(f[m, n])}")
-    return "\n".join(rows) + "\n"
+    m, n = np.divmod(np.arange(f.size), f.shape[0])
+    return f"QHAL-PF v1 L={f.shape[0]}\n" + _write_table(f.ravel(), m, n)
 
 
 def loads_phase_function(text: str) -> np.ndarray:
-    lines = _lines(text)
-    L = _parse_header(lines[0], "QHAL-PF")
-    if len(lines) != 1 + L * L:
-        raise FormatError(f"expected {L * L} entries, found {len(lines) - 1}")
-    out = np.full((L, L), np.nan, dtype=np.complex128)
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"expected '<m> <n> <re> <im>', got {line!r}")
-        m = _parse_int(parts[0]) % L
-        n = _parse_int(parts[1]) % L
-        out[m, n] = complex(_parse_float(parts[2]), _parse_float(parts[3]))
-    if np.isnan(out).any():
-        raise FormatError("grid entries missing or duplicated")
-    return out
+    L, lines = _parse_header(text, "QHAL-PF")
+    return _read_table(lines, L * L, lambda m, n: m * L + n, L).reshape(L, L)
 
 
 def dumps_quotient_function(F: QuotientFunction) -> str:
-    head = f"QHAL-QF v1 L={F.quotient.lattice.L}\n"
-    head += dumps_lattice(F.quotient.lattice)
-    rows = [
-        f"{m} {n} {_complex_pair(v)}"
-        for (m, n), v in zip(F.quotient.reps, F.values)
-    ]
-    return head + "\n".join(rows) + "\n"
+    head = f"QHAL-QF v1 L={F.quotient.lattice.L}\n" + dumps_lattice(F.quotient.lattice)
+    return head + _write_table(F.values, *F.quotient.coords)
 
 
 def loads_quotient_function(text: str) -> QuotientFunction:
-    lines = _lines(text)
-    L = _parse_header(lines[0], "QHAL-QF")
-    subgroup = _parse_lattice_lines(lines[1:4])
+    L, lines = _parse_header(text, "QHAL-QF")
+    subgroup = _parse_lattice_lines(lines[:3])
     if subgroup.L != L:
         raise FormatError("header dimension disagrees with lattice record")
-    quotient = quotient_reps(subgroup)
-    body = lines[4:]
-    if len(body) != quotient.size:
-        raise FormatError(f"expected {quotient.size} cosets, found {len(body)}")
-    vals = np.full(quotient.size, np.nan, dtype=np.complex128)
-    for line in body:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"expected '<m> <n> <re> <im>', got {line!r}")
-        idx = quotient.coset_index((_parse_int(parts[0]), _parse_int(parts[1])))
-        if not np.isnan(vals[idx].real):
-            raise FormatError("two lines land in the same coset")
-        vals[idx] = complex(_parse_float(parts[2]), _parse_float(parts[3]))
-    return QuotientFunction(quotient, vals)
+    q = quotient_reps(subgroup)
+    return QuotientFunction(q, _read_table(lines[3:], q.size, q.locate, L))
 
 
 def dumps_sequence(c: LatticeSequence) -> str:
     head = "QHAL-SEQ v1\n" + dumps_lattice(c.lattice)
-    rows = [
-        f"{m} {n} {_complex_pair(v)}" for (m, n), v in zip(c.lattice.points, c.values)
-    ]
-    return head + "\n".join(rows) + "\n"
+    return head + _write_table(c.values, *c.lattice.coords)
 
 
 def loads_sequence(text: str) -> LatticeSequence:
     lines = _lines(text)
-    if not lines or lines[0] != "QHAL-SEQ v1":
+    if lines[0] != "QHAL-SEQ v1":
         raise FormatError("expected 'QHAL-SEQ v1' header")
-    lattice = _parse_lattice_lines(lines[1:4])
-    body = lines[4:]
-    if len(body) != lattice.size:
-        raise FormatError(f"expected {lattice.size} points, found {len(body)}")
-    vals = np.full(lattice.size, np.nan, dtype=np.complex128)
-    for line in body:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"expected '<m> <n> <re> <im>', got {line!r}")
-        point = (_parse_int(parts[0]) % lattice.L, _parse_int(parts[1]) % lattice.L)
-        inside, idx = lattice.locate(*point)
-        if not inside:
-            raise FormatError(f"point {point} is outside the lattice record")
-        if not np.isnan(vals[idx].real):
-            raise FormatError(f"duplicate value for point {point}")
-        vals[idx] = complex(_parse_float(parts[2]), _parse_float(parts[3]))
-    return LatticeSequence(lattice, vals)
+    lat = _parse_lattice_lines(lines[1:4])
+    # locate gives (inside, slot); a row off the lattice goes to slot N
+    place = lambda m, n: np.where(*lat.locate(m, n), lat.size)
+    return LatticeSequence(lat, _read_table(lines[4:], lat.size, place, lat.L))

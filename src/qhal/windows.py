@@ -37,9 +37,8 @@ def gaussian_window(L: int, verify: bool = True) -> np.ndarray:
     """
     L = check_dimension(L)
     t = np.arange(L, dtype=np.float64)
-    vals = np.zeros(L)
-    for j in range(-_WRAPS, _WRAPS + 1):
-        vals += np.exp(-np.pi * (t + j * L) ** 2 / L)
+    j = np.arange(-_WRAPS, _WRAPS + 1)
+    vals = np.exp(-np.pi * (t + L * j[:, None]) ** 2 / L).sum(axis=0)
     window = (vals / np.linalg.norm(vals)).astype(np.complex128)
     if verify:
         amb = np.abs(stft(window, window))

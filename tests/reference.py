@@ -168,3 +168,52 @@ def quotient_slow(points, L):
             for hm, hn in points:
                 coset_of[(m + hm) % L, (n + hn) % L] = idx
     return tuple(reps), coset_of
+
+
+def gaussian_window_slow(L, wraps=8):
+    """exp(-pi t^2 / L) periodized with one pass per wrap, unit norm."""
+    t = np.arange(L, dtype=np.float64)
+    vals = np.zeros(L)
+    for j in range(-wraps, wraps + 1):
+        vals += np.exp(-np.pi * (t + j * L) ** 2 / L)
+    return (vals / np.linalg.norm(vals)).astype(np.complex128)
+
+
+# -- the per-line v1 text codec ----------------------------------------------
+
+
+def write_rows_slow(values, points=None):
+    """One '<re> <im>' line per value (17 significant digits), led by
+    '<m> <n>' when points are given."""
+    rows = []
+    for i, z in enumerate(values):
+        pair = f"{format(float(z.real), '.17g')} {format(float(z.imag), '.17g')}"
+        rows.append(pair if points is None else f"{points[i][0]} {points[i][1]} {pair}")
+    return "\n".join(rows) + "\n"
+
+
+def read_rows_slow(lines, L=None, slots=None):
+    """Table rows parsed one line at a time; malformed input raises ValueError.
+
+    Plain rows are '<re> <im>', in order.  With slots, rows are
+    '<m> <n> <re> <im>' and the value lands in slots[(m % L, n % L)], which
+    every row must fill exactly once.
+    """
+    size = len(lines) if slots is None else len(set(slots.values()))
+    if len(lines) != size:
+        raise ValueError(f"expected {size} rows, found {len(lines)}")
+    out = [None] * size
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != (2 if slots is None else 4):
+            raise ValueError(f"bad row {line!r}")
+        re, im = float(parts[-2]), float(parts[-1])
+        if not (np.isfinite(re) and np.isfinite(im)):
+            raise ValueError(f"non-finite row {line!r}")
+        if slots is not None:
+            key = (int(parts[0]) % L, int(parts[1]) % L)
+            if key not in slots or out[slots[key]] is not None:
+                raise ValueError(f"row {line!r} is off the record or repeated")
+            i = slots[key]
+        out[i] = complex(re, im)
+    return np.array(out, dtype=np.complex128)

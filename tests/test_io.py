@@ -34,6 +34,8 @@ from qhal.io import (
 )
 from qhal.operators import random_operator, random_signal
 
+import reference as ref
+
 
 # -- float formatting --------------------------------------------------------
 
@@ -114,10 +116,11 @@ def test_operator_rejects_malformed_input():
 
 
 def test_loaders_reject_non_finite_floats():
+    # the message names the offending token
     for token in ("nan", "inf", "-inf", "NaN", "Infinity"):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"'{token}'"):
             loads_operator(f"QHAL-OP v1 L=2\n1 0\n0 0\n0 {token}\n1 0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"'{token}'"):
             loads_signal(f"QHAL-SIG v1 L=2\n{token} 0\n1 0\n")
 
 
@@ -249,3 +252,152 @@ def test_empty_input_is_rejected():
     for loads in (loads_operator, loads_signal, loads_phase_function, loads_sequence):
         with pytest.raises(FormatError):
             loads("")
+
+
+# -- the table codec against the per-line oracle -----------------------------
+
+
+SPECIAL = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3)
+CODEC_LATTICES = {
+    2: make_separable_lattice(1, 2, 2),
+    9: make_general_lattice([(3, 1)], 9),
+    15: make_separable_lattice(3, 5, 15),
+    45: make_general_lattice([(15, 1)], 45),
+}
+
+
+def planted(size, rng):
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    floats = values.view(np.float64)
+    k = min(len(SPECIAL), floats.size)
+    floats[:k] = SPECIAL[:k]
+    floats[-k:] = SPECIAL[::-1][:k]
+    return values
+
+
+def assert_bits_equal(a, b):
+    """Equal as float64 bit patterns, so -0.0 and 0.0 differ."""
+    assert a.dtype == b.dtype == np.complex128 and a.shape == b.shape
+    bits = [np.ascontiguousarray(x).view(np.float64).view(np.uint64) for x in (a, b)]
+    assert np.array_equal(*bits)
+
+
+def codec_cases(L):
+    """(dumps, loads, object, header, points, slots) per v1 body format.
+
+    Points and slots come from the oracle's own point sets: the lattice is
+    closure_slow sorted, and the quotient transversal is quotient_slow's.
+    """
+    rng = np.random.default_rng(L)
+    lat = CODEC_LATTICES[L]
+    sub = adjoint_lattice(lat)
+    lat_points = sorted(ref.closure_slow(lat.generators, L))
+    reps, coset_of = ref.quotient_slow(sorted(ref.closure_slow(sub.generators, L)), L)
+    grid = [(m, n) for m in range(L) for n in range(L)]
+    qf = QuotientFunction(quotient_reps(sub), planted(len(reps), rng))
+    return {
+        "op": (dumps_operator, loads_operator, planted(L * L, rng).reshape(L, L),
+               f"QHAL-OP v1 L={L}\n", None, None),
+        "sig": (dumps_signal, loads_signal, planted(L, rng),
+                f"QHAL-SIG v1 L={L}\n", None, None),
+        "pf": (dumps_phase_function, loads_phase_function,
+               planted(L * L, rng).reshape(L, L), f"QHAL-PF v1 L={L}\n",
+               grid, {z: i for i, z in enumerate(grid)}),
+        "qf": (dumps_quotient_function, loads_quotient_function, qf,
+               f"QHAL-QF v1 L={L}\n" + dumps_lattice(sub), reps,
+               {z: int(coset_of[z]) for z in grid}),
+        "seq": (dumps_sequence, loads_sequence,
+                LatticeSequence(lat, planted(lat.size, rng)),
+                "QHAL-SEQ v1\n" + dumps_lattice(lat), lat_points,
+                {z: i for i, z in enumerate(lat_points)}),
+    }
+
+
+def values_of(obj):
+    return obj.values if hasattr(obj, "values") else obj
+
+
+def split_text(text, header):
+    lines = text.splitlines()
+    k = header.count("\n")
+    return lines[:k], lines[k:]
+
+
+@pytest.mark.parametrize("L", sorted(CODEC_LATTICES))
+def test_writers_match_the_per_line_oracle_byte_for_byte(L):
+    for name, (dumps, _, obj, header, points, _) in codec_cases(L).items():
+        expected = header + ref.write_rows_slow(values_of(obj).ravel(), points)
+        assert dumps(obj) == expected, name
+
+
+@pytest.mark.parametrize("L", sorted(CODEC_LATTICES))
+def test_readers_match_the_per_line_oracle_bit_for_bit(L):
+    rng = np.random.default_rng(1000 + L)
+    for name, (dumps, loads, obj, header, _, slots) in codec_cases(L).items():
+        head, body = split_text(dumps(obj), header)
+        if slots is not None:
+            # any order, any representative: shift indices by multiples of L
+            body = [body[i] for i in rng.permutation(len(body))]
+            shifts = rng.integers(-2, 3, size=(len(body), 2)) * L
+            body = [
+                f"{int(m) + dm} {int(n) + dn} {re} {im}"
+                for (m, n, re, im), (dm, dn) in zip(map(str.split, body), shifts)
+            ]
+        back = values_of(loads("\n".join(head + body) + "\n"))
+        expected = ref.read_rows_slow(body, L, slots)
+        assert_bits_equal(back.ravel(), expected)
+        assert_bits_equal(back.ravel(), values_of(obj).ravel())
+
+
+def corrupted_bodies(body, L, indexed):
+    """(label, body, per-line reader took it) triples the reader must refuse."""
+    mid = len(body) // 2
+    row = body[mid].split()
+    index, floats = row[:-2], row[-2:]
+
+    def swap(line):
+        return body[:mid] + [line] + body[mid + 1 :]
+
+    yield "blank line added", body[:mid] + [""] + body[mid:], False
+    yield "blank line for a row", swap(""), False
+    yield "narrow row", swap(" ".join(index + floats[:1])), False
+    yield "wide row", swap(" ".join(index + floats + ["0"])), False
+    for bad in ("0x10", "1e400", "nan", "-inf"):
+        yield f"float {bad}", swap(" ".join(index + [bad, floats[1]])), False
+    if indexed:
+        m = int(row[0])
+        # each bad index names the row's own point, so nothing else is wrong;
+        # Python's int() took underscores and integers beyond int64
+        for bad, took in (
+            (f"{m}.0", False),
+            (f"0x{m:x}", False),
+            (str(m + L * 2**63), True),
+            (f"0_{m}", True),
+        ):
+            yield f"index {bad}", swap(" ".join([bad] + row[1:])), took
+        yield "duplicate row", swap(body[mid - 1]), False
+        yield "missing row", body[:mid] + body[mid + 1 :], False
+
+
+@pytest.mark.parametrize("L", (2, 9))
+def test_readers_refuse_corrupted_tables(L):
+    for name, (dumps, loads, obj, header, _, slots) in codec_cases(L).items():
+        head, body = split_text(dumps(obj), header)
+        for label, bad, took in corrupted_bodies(body, L, slots is not None):
+            with pytest.raises(FormatError):
+                loads("\n".join(head + bad) + "\n")
+            if took:
+                ref.read_rows_slow(bad, L, slots)
+            else:
+                with pytest.raises(ValueError):
+                    ref.read_rows_slow(bad, L, slots)
+
+
+def test_lattice_records_refuse_small_dimensions_and_trailing_lines():
+    with pytest.raises(FormatError):
+        loads_lattice("LATTICE v1\nL=1\ngens=0,0\n")
+    with pytest.raises(FormatError):
+        loads_sequence("QHAL-SEQ v1\nLATTICE v1\nL=1\ngens=0,0\n0 0 1 0\n")
+    with pytest.raises(FormatError):
+        loads_lattice("LATTICE v1\nL=4\ngens=1,0;0,1\njunk")
+    assert loads_lattice("LATTICE v1\nL=4\ngens=1,0;0,1\n").size == 16

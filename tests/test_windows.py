@@ -14,6 +14,8 @@ from qhal import (
     stft,
 )
 
+import reference as ref
+
 
 def test_gaussian_window_is_normalized_and_positive():
     for L in (9, 15):
@@ -23,6 +25,14 @@ def test_gaussian_window_is_normalized_and_positive():
         assert np.all(w.imag == 0)
         # periodization makes the window symmetric about zero
         assert np.allclose(w, w[(-np.arange(L)) % L], atol=1e-12)
+
+
+def test_gaussian_window_matches_the_wrap_loop_bit_for_bit():
+    # verify=False: the STFT floor refuses even L and L >= 26
+    for L in (2, 3, 9, 26, 105, 1024):
+        w = gaussian_window(L, verify=False)
+        assert w.dtype == np.complex128
+        assert w.tobytes() == ref.gaussian_window_slow(L).tobytes(), L
 
 
 def test_gaussian_window_stft_has_no_zero_samples():
