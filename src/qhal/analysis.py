@@ -26,50 +26,22 @@ import numpy as np
 
 from .convolutions import op_op_conv, seq_op_conv, synthesis_map
 from .errors import (
-    DivisionByZeroError,
-    FullLatticeError,
-    NotRieszError,
-    SupportViolationError,
+    DivisionByZeroError, FullLatticeError, NotRieszError, SupportViolationError
 )
-from .operators import (
-    RANK_RTOL,
-    as_operator,
-    random_operator,
-)
+from .operators import RANK_RTOL, as_operator, random_operator
 from .phase_space import (
-    Lattice,
-    LatticeSequence,
-    PhasePoint,
-    QuotientFunction,
-    _is_int,
-    adjoint_lattice,
+    Lattice, LatticeSequence, PhasePoint, QuotientFunction, _is_int, adjoint_lattice,
     quotient_reps,
 )
 from .transforms import (
-    _chirp,
-    _diagonal_index,
-    _diagonals,
-    _periodize,
-    _spreading,
-    _undiagonals,
-    _unspreading,
-    inverse_symplectic_fourier_series,
-    lift_quotient_function,
+    _chirp, _diagonal_index, _diagonals, _periodize, _spreading, _undiagonals,
+    _unspreading, inverse_symplectic_fourier_series, lift_quotient_function,
 )
 
 __all__ = [
-    "ZERO_TOL",
-    "RieszReport",
-    "ApproxReport",
-    "MaskRecovery",
-    "TauberianReport",
-    "gram_matrix",
-    "riesz_report",
-    "biorthogonal_generator",
-    "best_approximation",
-    "recover_mask",
-    "tauberian_diagnostics",
-    "nonassociativity_witness",
+    "ZERO_TOL", "RieszReport", "ApproxReport", "MaskRecovery", "TauberianReport",
+    "gram_matrix", "riesz_report", "biorthogonal_generator", "best_approximation",
+    "recover_mask", "tauberian_diagnostics", "nonassociativity_witness",
     "underspread_divide",
 ]
 
@@ -92,7 +64,11 @@ def _check_tol(zero_tol) -> None:
 def _symbol(VS: np.ndarray, lattice: Lattice, zero_tol: float):
     """The symbol of the generator with V(S) = VS, and its zero cosets."""
     _check_tol(zero_tol)
-    symbol = _periodize(np.abs(VS) ** 2, adjoint_lattice(lattice))
+    squares = np.square(VS.real)  # |V(S)|^2 with no square root; the imaginary
+    step = max(1, 2**16 // lattice.L)  # parts go in blocks of <= 2**16 values
+    for i in range(0, lattice.L, step):
+        squares[i : i + step] += np.square(VS.imag[i : i + step])
+    symbol = _periodize(squares, adjoint_lattice(lattice))
     vals = symbol.values.real  # exactly nonnegative, so zero_tol=0 flags exact zeros
     zero = vals <= zero_tol * vals.max()
     rows, cols = symbol.quotient.coords
@@ -109,14 +85,12 @@ def _riesz_symbol(VS: np.ndarray, lattice: Lattice, zero_tol: float):
     return symbol
 
 
-def _project(VT: np.ndarray, VS: np.ndarray, symbol: QuotientFunction):
-    """The series of the mask of the orthogonal projection of T onto the span.
-
-    It is periodize(V(T) conj(V(S))) / symbol; the approximant's spreading
-    function is its lift times V(S).
-    """
-    cross = _periodize(VT * np.conj(VS), symbol.quotient.lattice)
-    return QuotientFunction(cross.quotient, cross.values / symbol.values)
+def _project(cross: np.ndarray, VS: np.ndarray, symbol: QuotientFunction):
+    """The series periodize(V(T) conj(V(S))) / symbol of the mask of the
+    projection of T onto the span, from cross = conj(V(T)), which it
+    overwrites; the approximant's spreading function is its lift times V(S)."""
+    sums = _periodize(np.multiply(cross, VS, out=cross), symbol.quotient.lattice)
+    return QuotientFunction(sums.quotient, np.conj(sums.values) / symbol.values)
 
 
 def _roots(L: int) -> np.ndarray:
@@ -128,24 +102,25 @@ def _sampled_inner_products(
     DX: np.ndarray, DS: np.ndarray, lattice: Lattice
 ) -> np.ndarray:
     """<X, alpha_lambda(S)> at the lattice points on the first two basis rows,
-    lambda = (i a, (i c mod b) + k b) for i < min(2, L / a), from the gathered
-    diagonals DX of X and DS of S, without an FFT.
+    lambda = (i a, s_i + k b) with s_i = i c mod b, for i < min(2, L / a),
+    from the gathered diagonals DX of X and DS of S, without an FFT.
 
     Diagonal d of alpha_lambda(S) is exp(2 pi i n d / L) DS[d, a - m], so the
-    value is sum_d exp(-2 pi i n d / L) corr[d] with corr[d] = sum_a DX[d, a]
-    conj(DS[d, a - m]): O(L^2) per row, in point order.
+    value is sum_d exp(-2 pi i n d / L) corr[d], where corr[d] = sum_a DX[d, a]
+    conj(DS[d, a - m]) is a row dot: O(L^2) per row.  Past the shear phase
+    exp(-2 pi i s_i d / L) the character depends on d mod L / b only, so corr
+    folds to L / b values and an (L / b)^2 table of roots ends the row.
     """
-    L, Q = lattice.L, lattice.L // lattice.b
+    L, b, Q = lattice.L, lattice.b, lattice.L // lattice.b
     shifts = (0, lattice.a)[: min(2, L // lattice.a)]
-    conj_S = np.conj(DS)
-    corr = [  # a - m wraps below a = m
-        np.einsum("da,da->d", DX[:, m:], conj_S[:, : L - m])
-        + np.einsum("da,da->d", DX[:, :m], conj_S[:, L - m :])
+    corr = np.array([  # a - m wraps below a = m
+        np.vecdot(DS[:, : L - m], DX[:, m:]) + np.vecdot(DS[:, L - m :], DX[:, :m])
         for m in shifts
-    ]
-    n = lattice.coords[1][: len(shifts) * Q]
-    table = _roots(L)[np.outer(n, np.arange(L)) % L].reshape(len(shifts), Q, L)
-    return np.einsum("ikd,id->ik", table, corr).ravel()
+    ])
+    roots, d, k = _roots(L), np.arange(L), np.arange(Q)
+    shear = np.arange(len(shifts))[:, None] * lattice.c % b
+    folded = (corr * roots[shear * d % L]).reshape(-1, b, Q).sum(axis=1)
+    return (folded @ roots[np.outer(k, k) * b % L]).ravel()
 
 
 def _synthesis_row(mask: LatticeSequence, S: np.ndarray) -> np.ndarray:
@@ -153,16 +128,18 @@ def _synthesis_row(mask: LatticeSequence, S: np.ndarray) -> np.ndarray:
 
     (c conv S)[0, j] = sum_lambda c(lambda) exp(-2 pi i n j / L) S[-m, j - m].
     With lambda = (p a, s_p + k b), s_p = p c mod b, the sum over k is a
-    (L / a x L / b) by (L / b x L) matrix product, then the shear phase
-    exp(-2 pi i s_p j / L) and a gather of S finish it: O(N L), no FFT.
+    product with an (L / b)^2 table, as exp(-2 pi i k b j / L) depends on
+    j mod L / b only; the shear phase exp(-2 pi i s_p j / L), where c != 0,
+    and a gather of S finish it: O(N L), no FFT.
     """
     lat = mask.lattice
     L, P, Q = lat.L, lat.L // lat.a, lat.L // lat.b
-    roots, j, p = _roots(L), np.arange(L), np.arange(P)[:, None]
-    inner = mask.values.reshape(P, Q) @ roots[np.arange(Q)[:, None] * lat.b * j % L]
+    roots, j, k, p = _roots(L), np.arange(L), np.arange(Q), np.arange(P)[:, None]
+    inner = np.tile(mask.values.reshape(P, Q) @ roots[np.outer(k, k) * lat.b % L], lat.b)
+    if lat.c:
+        inner *= roots[p * lat.c % lat.b * j % L]
     m = p * lat.a
-    shear = roots[(p * lat.c % lat.b) * j % L]
-    return np.einsum("pj,pj->j", inner * shear, S[-m % L, (j - m) % L])
+    return np.einsum("pj,pj->j", inner, S[-m % L, (j - m) % L])
 
 
 def gram_matrix(S, lattice: Lattice) -> np.ndarray:
@@ -276,16 +253,23 @@ def best_approximation(
     DS, DT = _diagonals(S), _diagonals(T)
     VS = np.fft.fft(DS, axis=1)
     symbol = _riesz_symbol(VS, lattice, zero_tol)
-    ratio = _project(np.fft.fft(DT, axis=1), VS, symbol)
+    VT = np.fft.fft(DT, axis=1)
+    ratio = _project(np.conj(VT, out=VT), VS, symbol)
+    del VT  # each del frees an L x L array before the next one is allocated
     mask = inverse_symplectic_fourier_series(ratio, lattice)
-    D_fit = np.fft.ifft(lift_quotient_function(ratio) * VS, axis=1)
-    approximant = _undiagonals(D_fit)
-    residual = np.subtract(DT, D_fit, out=DT)  # the diagonals of T - approximant
+    # the inverse FFT's 1/L rides on the N coset values, and it runs in place
+    fit = lift_quotient_function(QuotientFunction(ratio.quotient, ratio.values / lattice.L))
+    fit *= VS
+    del VS
+    np.fft.ifft(fit, axis=1, norm="forward", out=fit)  # the approximant's diagonals
+    residual = np.subtract(DT, fit, out=DT)  # the diagonals of T - approximant
+    approximant = _undiagonals(fit)
+    del fit
     defect = _sampled_inner_products(residual, DS, lattice)
     return ApproxReport(
         mask=mask,
         approximant=approximant,
-        residual_hs=float(np.linalg.norm(residual)),
+        residual_hs=float(np.sqrt(np.vdot(residual, residual).real)),
         orthogonality_defect=float(np.max(np.abs(defect))),
         mask_agreement=float(np.max(np.abs(approximant[0] - _synthesis_row(mask, S)))),
     )
@@ -308,11 +292,13 @@ def recover_mask(G, S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> MaskReco
     """
     VG = _spreading(as_operator(G, L=lattice.L))
     VS = _spreading(as_operator(S, L=lattice.L))
-    ratio = _project(VG, VS, _riesz_symbol(VS, lattice, zero_tol))
-    VG -= lift_quotient_function(ratio) * VS
+    symbol = _riesz_symbol(VS, lattice, zero_tol)
+    ratio = _project(np.conj(VG), VS, symbol)
+    fit = lift_quotient_function(ratio)
+    VG -= np.multiply(fit, VS, out=fit)
     return MaskRecovery(
         mask=inverse_symplectic_fourier_series(ratio, lattice),
-        residual_hs=float(np.linalg.norm(VG) / np.sqrt(lattice.L)),
+        residual_hs=float(np.sqrt(np.vdot(VG, VG).real / lattice.L)),
     )
 
 

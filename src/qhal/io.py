@@ -17,6 +17,7 @@ Each body is one table, read by ``np.loadtxt`` and written by ``%`` formatting.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,7 @@ import numpy as np
 from .errors import FormatError
 from .operators import as_operator, as_signal
 from .phase_space import (
-    Lattice,
-    LatticeSequence,
-    QuotientFunction,
-    make_general_lattice,
-    quotient_reps,
+    Lattice, LatticeSequence, QuotientFunction, make_general_lattice, quotient_reps
 )
 from .transforms import as_phase_function
 
@@ -66,11 +63,13 @@ def load_text(path: str | os.PathLike) -> str:
     return Path(path).read_text(encoding="ascii")
 
 
-def _lines(text: str) -> list[str]:
-    lines = [line.strip() for line in text.strip().splitlines()]
-    if not lines:
+def _lines(text: str) -> tuple[list[str], int]:
+    """The stripped lines of text, and the file line number of the first."""
+    body = text.strip()
+    if not body:
         raise FormatError("empty input")
-    return lines
+    first = text[: text.index(body[0])].count("\n") + 1  # blank lines before it
+    return [line.strip() for line in body.splitlines()], first
 
 
 def _parse_int(token: str) -> int:
@@ -88,43 +87,64 @@ def _parse_dimension(field: str) -> int:
     return L
 
 
-def _parse_header(text: str, magic: str) -> tuple[int, list[str]]:
-    """L from the '<magic> v1 L=<int>' header line, and the lines after it."""
-    lines = _lines(text)
+def _parse_header(text: str, magic: str) -> tuple[int, list[str], int]:
+    """L from the '<magic> v1 L=<int>' header line, the lines after it and the
+    file line number of the first of them."""
+    lines, first = _lines(text)
     parts = lines[0].split()
     if len(parts) != 3 or parts[0] != magic or parts[1] != "v1":
         raise FormatError(f"expected '{magic} v1 L=<int>' header, got {lines[0]!r}")
-    return _parse_dimension(parts[2]), lines[1:]
+    return _parse_dimension(parts[2]), lines[1:], first + 1
 
 
 # -- tables ------------------------------------------------------------------
 
 
-def _read_table(lines: list[str], rows: int, place=None, L: int = 0) -> np.ndarray:
+def _read_table(lines: list[str], rows: int, first: int, place=None, L=0) -> np.ndarray:
     """``rows`` complex values from '<re> <im>' rows, in order; with ``place``,
-    from '<m> <n> <re> <im>' rows put in slot place(m % L, n % L), each once."""
+    from '<m> <n> <re> <im>' rows put in slot place(m % L, n % L), each once.
+    ``first`` is the file line number of lines[0]; refusals name file lines."""
     if len(lines) != rows:
-        raise FormatError(f"expected {rows} rows, found {len(lines)}")
+        raise FormatError(f"expected {rows} rows from line {first}, found {len(lines)}")
+    if "" in lines:  # loadtxt would skip it
+        raise FormatError(f"line {first + lines.index('')}: blank line inside the table")
+    dtype = _INDEXED if place else _PAIR
     try:
-        table = np.loadtxt(lines, _INDEXED if place else _PAIR, comments=None, ndmin=1)
-    except ValueError as exc:  # drop numpy's hint about usecols
-        raise FormatError(str(exc).split(";")[0]) from None
-    if len(table) != rows:  # loadtxt skips blank lines
-        raise FormatError("blank line inside the table")
+        table = np.loadtxt(lines, dtype, comments=None, ndmin=1)
+    except ValueError as exc:  # drop numpy's row number and its hint about usecols
+        message = re.sub(r" at row \d+", "", str(exc).split(";")[0])
+        raise FormatError(f"line {first + _refused(lines, dtype)}: {message}") from None
     # the (re, im) record is laid out as one complex128, so -0.0 survives
     values = (table if place is None else table["z"]).view(np.complex128)
-    if not np.isfinite(values).all():
-        floats = (t for line in lines for t in line.split()[-2:])
-        token = next(t for t in floats if not np.isfinite(float(t)))
-        raise FormatError(f"non-finite float {token!r}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        token = next(t for t in lines[bad[0]].split()[-2:] if not np.isfinite(float(t)))
+        raise FormatError(f"line {first + bad[0]}: non-finite float {token!r}")
     if place is None:
         return values
     slots = place(table["m"] % L, table["n"] % L)
     if (np.bincount(slots, minlength=rows)[:rows] != 1).any():
-        raise FormatError("rows missing, repeated or off the record")
+        later = np.ones(rows, dtype=bool)  # rows whose slot an earlier row took
+        later[np.unique(slots, return_index=True)[1]] = False
+        line = first + np.flatnonzero(later | (slots >= rows))[0]
+        raise FormatError(f"line {line}: row repeated or off the record")
     out = np.empty(rows, dtype=np.complex128)
     out[slots] = values
     return out
+
+
+def _refused(lines: list[str], dtype) -> int:
+    """The first row loadtxt refuses, by bisection: its own row numbers skip
+    the header and count from 0 or 1."""
+    lo, hi = 0, len(lines)  # the row is in lines[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt(lines[lo:mid], dtype, comments=None)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
 
 
 def _write_table(values: np.ndarray, *coords: np.ndarray) -> str:
@@ -166,7 +186,7 @@ def _parse_lattice_lines(lines: list[str]) -> Lattice:
 
 
 def loads_lattice(text: str) -> Lattice:
-    return _parse_lattice_lines(_lines(text))
+    return _parse_lattice_lines(_lines(text)[0])
 
 
 # -- operators, signals, grids and sequences ---------------------------------
@@ -178,8 +198,8 @@ def dumps_operator(S) -> str:
 
 
 def loads_operator(text: str) -> np.ndarray:
-    L, lines = _parse_header(text, "QHAL-OP")
-    return _read_table(lines, L * L).reshape(L, L)
+    L, lines, first = _parse_header(text, "QHAL-OP")
+    return _read_table(lines, L * L, first).reshape(L, L)
 
 
 def dumps_signal(psi) -> str:
@@ -188,8 +208,8 @@ def dumps_signal(psi) -> str:
 
 
 def loads_signal(text: str) -> np.ndarray:
-    L, lines = _parse_header(text, "QHAL-SIG")
-    return _read_table(lines, L)
+    L, lines, first = _parse_header(text, "QHAL-SIG")
+    return _read_table(lines, L, first)
 
 
 def dumps_phase_function(f) -> str:
@@ -199,8 +219,8 @@ def dumps_phase_function(f) -> str:
 
 
 def loads_phase_function(text: str) -> np.ndarray:
-    L, lines = _parse_header(text, "QHAL-PF")
-    return _read_table(lines, L * L, lambda m, n: m * L + n, L).reshape(L, L)
+    L, lines, first = _parse_header(text, "QHAL-PF")
+    return _read_table(lines, L * L, first, lambda m, n: m * L + n, L).reshape(L, L)
 
 
 def dumps_quotient_function(F: QuotientFunction) -> str:
@@ -209,12 +229,12 @@ def dumps_quotient_function(F: QuotientFunction) -> str:
 
 
 def loads_quotient_function(text: str) -> QuotientFunction:
-    L, lines = _parse_header(text, "QHAL-QF")
+    L, lines, first = _parse_header(text, "QHAL-QF")
     subgroup = _parse_lattice_lines(lines[:3])
     if subgroup.L != L:
         raise FormatError("header dimension disagrees with lattice record")
     q = quotient_reps(subgroup)
-    return QuotientFunction(q, _read_table(lines[3:], q.size, q.locate, L))
+    return QuotientFunction(q, _read_table(lines[3:], q.size, first + 3, q.locate, L))
 
 
 def dumps_sequence(c: LatticeSequence) -> str:
@@ -223,10 +243,10 @@ def dumps_sequence(c: LatticeSequence) -> str:
 
 
 def loads_sequence(text: str) -> LatticeSequence:
-    lines = _lines(text)
+    lines, first = _lines(text)
     if lines[0] != "QHAL-SEQ v1":
         raise FormatError("expected 'QHAL-SEQ v1' header")
     lat = _parse_lattice_lines(lines[1:4])
     # locate gives (inside, slot); a row off the lattice goes to slot N
     place = lambda m, n: np.where(*lat.locate(m, n), lat.size)
-    return LatticeSequence(lat, _read_table(lines[4:], lat.size, place, lat.L))
+    return LatticeSequence(lat, _read_table(lines[4:], lat.size, first + 4, place, lat.L))

@@ -37,26 +37,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EvenDimensionError, LatticeMismatchError
 from .operators import _finite, as_operator, as_signal, rank_one
 from .phase_space import (
-    Lattice,
-    LatticeSequence,
-    QuotientFunction,
-    adjoint_lattice,
-    check_dimension,
+    Lattice, LatticeSequence, QuotientFunction, adjoint_lattice, check_dimension,
     quotient_reps,
 )
 
 __all__ = [
-    "half_mod",
-    "stft",
-    "spectrogram_samples",
-    "symplectic_dft",
-    "fourier_wigner",
-    "inverse_fourier_wigner",
-    "weyl_symbol",
-    "symplectic_fourier_series",
-    "inverse_symplectic_fourier_series",
-    "periodize",
-    "lift_quotient_function",
+    "half_mod", "stft", "spectrogram_samples", "symplectic_dft", "fourier_wigner",
+    "inverse_fourier_wigner", "weyl_symbol", "symplectic_fourier_series",
+    "inverse_symplectic_fourier_series", "periodize", "lift_quotient_function",
     "as_phase_function",
 ]
 
@@ -201,13 +189,19 @@ def _periodize(f: np.ndarray, subgroup: Lattice) -> QuotientFunction:
     checked inputs; QuotientFunction still refuses non-finite coset sums.
 
     With m = i a + r and n = k b + j, the point (m, n) lies in the box coset
-    (r, (j - i c) mod b): sum over k, then over i after undoing the shear.
+    (r, (j - i c) mod b).  One matrix-vector product per row sums over k on
+    the float view that real and complex grids share, carrying kappa; row
+    block i then moves by its shear (none when c = 0) and the blocks add.
     """
     L, a, c, b = subgroup.L, subgroup.a, subgroup.c, subgroup.b
-    folded = f.reshape(L // a, a, L // b, b).sum(axis=2)
-    shear = (np.arange(b) + np.arange(L // a)[:, None] * c) % b
-    sums = np.take_along_axis(folded, shear[:, None, :], axis=2).sum(axis=0)
-    return QuotientFunction(quotient_reps(subgroup), sums.ravel() * (L / subgroup.size))
+    P, Q = L // a, L // b
+    parts = np.ascontiguousarray(f).view(np.float64).reshape(L, Q, -1)
+    folded = (np.full(Q, L / subgroup.size) @ parts).view(f.dtype)
+    if c:  # row i a + r holds box column j at (j + i c) mod b
+        shift = (np.arange(P)[:, None, None] * c + np.arange(b)) % b
+        folded = folded.take(np.arange(L).reshape(P, a, 1) * b + shift)
+    sums = folded.reshape(P, a * b).sum(axis=0)
+    return QuotientFunction(quotient_reps(subgroup), sums)
 
 
 def periodize(f, subgroup: Lattice) -> QuotientFunction:

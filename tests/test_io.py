@@ -383,14 +383,31 @@ def corrupted_bodies(body, L, indexed):
 def test_readers_refuse_corrupted_tables(L):
     for name, (dumps, loads, obj, header, _, slots) in codec_cases(L).items():
         head, body = split_text(dumps(obj), header)
+        line = len(head) + len(body) // 2 + 1  # the file line each corruption hits
         for label, bad, took in corrupted_bodies(body, L, slots is not None):
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError) as refusal:
                 loads("\n".join(head + bad) + "\n")
+            message = str(refusal.value)  # a row too few or many: where the table starts
+            named = message.startswith(f"line {line}: ")
+            assert named or f"rows from line {len(head) + 1}," in message, (name, label)
             if took:
                 ref.read_rows_slow(bad, L, slots)
             else:
                 with pytest.raises(ValueError):
                     ref.read_rows_slow(bad, L, slots)
+
+
+def test_table_refusals_name_the_file_line():
+    """loadtxt numbers a bad float's row from 0 and a short row's from 1, both
+    without the header; each refusal names the file line instead."""
+    L = 9
+    lines = dumps_phase_function(random_operator(L, np.random.default_rng(9))).splitlines()
+    m, n, real, imag = lines[41].split()  # file line 42
+    for broken in (f"{m} {n} 0x10 {imag}", f"{m} {n} {real}"):
+        text = "\n".join(lines[:41] + [broken] + lines[42:]) + "\n"
+        for leading in ("", "\n \n"):  # blank lines before the header count too
+            with pytest.raises(FormatError, match=f"^line {42 + leading.count(chr(10))}: "):
+                loads_phase_function(leading + text)
 
 
 def test_lattice_records_refuse_small_dimensions_and_trailing_lines():

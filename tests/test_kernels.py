@@ -278,9 +278,10 @@ def test_traced_memory_at_L1001(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peaks["riesz_report"] <= 2.25, peaks
-    # the lift's result owns its memory, so products reuse it: no extra array
-    assert peaks["best_approximation"] <= 6.5, peaks
-    assert peaks["recover_mask"] <= 3.5, peaks
+    # the lift's result owns its memory, so products and the inverse FFT reuse
+    # it, and approx frees V(T) and V(S) once read: 4.17 and 3.17 measured
+    assert peaks["best_approximation"] <= 4.25, peaks
+    assert peaks["recover_mask"] <= 3.25, peaks
     assert retained < 0.05, retained  # the rebuilt quotient entries are small
     for quotient in (quotient_reps(lat), quotient_reps(adjoint_lattice(lat))):
         assert all(np.size(v) < L * L for v in vars(quotient).values())

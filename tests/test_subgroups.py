@@ -50,7 +50,7 @@ from qhal import (
 )
 from qhal.analysis import _checked_star, _sampled_inner_products, _synthesis_row
 from qhal.operators import random_operator
-from qhal.transforms import _diagonals
+from qhal.transforms import _diagonals, _periodize
 
 import reference as ref
 
@@ -217,6 +217,34 @@ def test_sampled_checks_match_full_forms_at_L225():
     rng = np.random.default_rng(225)
     S, T = random_operator(225, rng), random_operator(225, rng)
     assert_sampled_checks_match_full_forms(T, S, lat, best_approximation(T, S, lat))
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [make_separable_lattice(3, 5, 105), make_general_lattice([(15, 1)], 225)],
+    ids=repr,
+)
+def test_fourier_side_matches_oracles_at_benchmark_sizes(lat):
+    """The benchmark's lattices: the coset fold against the loop oracle on
+    the adjoint, for a complex grid and for the real nonnegative grid of a
+    symbol, to 1e-12 relative to sum |f|; the sampled approx checks against
+    their full forms; and an exact recover round trip."""
+    L = lat.L
+    adj = adjoint_lattice(lat)
+    reps = quotient_reps(adj).reps
+    rng = np.random.default_rng(L)
+    f = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+    for grid, out in ((f, periodize(f, adj)), (np.abs(f) ** 2, _periodize(np.abs(f) ** 2, adj))):
+        want = ref.periodize_slow(grid, adj.points, reps, L)
+        assert np.max(np.abs(out.values - want)) <= 1e-12 * np.abs(grid).sum(), lat
+
+    S, T = random_operator(L, rng), random_operator(L, rng)
+    assert_sampled_checks_match_full_forms(T, S, lat, best_approximation(T, S, lat))
+    c = random_sequence(lat, rng)
+    G = seq_op_conv(c, S)
+    got = recover_mask(G, S, lat)
+    assert np.max(np.abs(got.mask.values - c.values)) <= 1e-12 * np.abs(c.values).max()
+    assert got.residual_hs <= 1e-12 * hs_norm(G), got.residual_hs
 
 
 def test_basis_from_random_generators():
