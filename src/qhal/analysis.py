@@ -20,6 +20,7 @@ gathered diagonals and share no FFT with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,15 @@ __all__ = [
 ZERO_TOL = 1e-10
 
 SUPPORT_RTOL = 1e-12
+
+# the divide's bounds on |V| are widened by this factor against the rounding
+# of the FFT and of the sums of squares, so no bound falls below a computed
+# value; a verdict inside the margin costs the full transform, not a bit of A
+_SLACK = 1 + 1e-6
+# a square below the smallest normal float may round to a subnormal or to
+# zero, so the bounds add n times it to a sum of n squares: they then hold
+# at any scale of the operator
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _checked_star(S: np.ndarray) -> np.ndarray:
@@ -371,6 +381,28 @@ def nonassociativity_witness(
     return T, float(np.linalg.norm(seq_op_conv(op_op_conv(T, R, lattice), S) - T))
 
 
+def _spectrum_rows(X: np.ndarray, rows) -> np.ndarray:
+    """Rows ``rows`` of V(X): row m is the FFT of diagonal m of X."""
+    return np.fft.fft(X.ravel().take(_diagonal_index(X.shape[0])[rows]), axis=1)
+
+
+def _off_rows_bound(X: np.ndarray, rows: np.ndarray) -> float:
+    """A bound on |V(X)| off the rows ``rows``: max_n |V(X)(m, n)| <=
+    sqrt(L) ||diag_m(X)||_2 by Cauchy-Schwarz, so sqrt(L) times the largest
+    energy of the other diagonals, gathered in row blocks of <= 2**16 values.
+    An overflowing sum gives inf, which bounds nothing."""
+    L = X.shape[0]
+    flat, index = X.ravel(), _diagonal_index(L)
+    energy = np.empty(L)
+    step = max(1, 2**16 // L)
+    with np.errstate(over="ignore"):
+        for i in range(0, L, step):
+            block = flat.take(index[i : i + step]).view(np.float64)
+            energy[i : i + step] = np.vecdot(block, block)
+    energy[rows] = 0.0
+    return _SLACK * math.sqrt(L * (float(energy.max()) + 2 * L * _TINY))
+
+
 def underspread_divide(
     S, T, lattice: Lattice, domain, zero_tol: float = ZERO_TOL
 ) -> np.ndarray:
@@ -380,7 +412,19 @@ def underspread_divide(
     of a fundamental domain), V(S) must be supported inside it and V(T)
     must not vanish on it.  The divider has spreading function
     conj(chi) / (kappa V(T)) on the domain and zero outside, kappa = N / L.
-    FFT budget: 2 of size L x L and one over the domain's rows of V(A).
+
+    Only the rows of V(S) and V(T) that meet the domain are transformed;
+    two bounds decide the other rows.  Support: off those rows |V(S)| is at
+    most sqrt(L) times the largest off-domain diagonal norm of S, so the
+    check passes there when that is <= SUPPORT_RTOL times the peak of the
+    transformed rows.  Zero threshold: max |V(T)| lies between the peak of
+    the transformed rows and sqrt(L) ||T||_HS (Parseval), so a divisor value
+    is decided when it sits below tol times the first or above tol times the
+    second.  When a bound leaves a verdict open, all L rows of that operand
+    are transformed, so every verdict and every bit of A is what the full
+    transforms give.  FFT budget: none of size L x L when the bounds decide,
+    only the domain's rows of V(S), V(T) and V(A); all L rows of V(S) or
+    V(T) when its bound is open.
     """
     S = as_operator(S, L=lattice.L)
     T = as_operator(T, L=lattice.L)
@@ -394,23 +438,35 @@ def underspread_divide(
         raise ValueError(
             "domain meets some adjoint coset twice; not part of a fundamental domain"
         )
+    used, row = np.unique(rows, return_inverse=True)  # V(A) is zero on other rows
 
-    spill = np.abs(_spreading(S))
+    # domain point k lies in row spill_rows[k] of spill: the rows of V(S) that
+    # meet the domain, or all of them when the bound leaves the check open
+    spill, spill_rows = np.abs(_spectrum_rows(S, used)), row
     peak = max(spill.max(), 1e-300)
-    spill[rows, cols] = 0.0
+    if _off_rows_bound(S, used) > SUPPORT_RTOL * peak:
+        spill, spill_rows = np.abs(_spectrum_rows(S, slice(None))), rows
+        peak = max(spill.max(), 1e-300)
+    spill[spill_rows, cols] = 0.0
     if spill.max() > SUPPORT_RTOL * peak:
         raise SupportViolationError(
             "spreading support of S exceeds the declared domain"
         )
-    VT = _spreading(T)
-    divisor = VT[rows, cols]
-    vanishing = np.flatnonzero(np.abs(divisor) <= zero_tol * float(np.abs(VT).max()))
+    VT = _spectrum_rows(T, used)
+    divisor = VT[row, cols]
+    size, top = np.abs(divisor), float(np.abs(VT).max())
+    hs2 = float(np.vdot(T, T).real) + 2 * L * L * _TINY
+    ceiling = _SLACK * math.sqrt(L * hs2)  # >= max |V(T)|, by Parseval
+    if np.any((size > zero_tol * top) & ~(size > zero_tol * ceiling)):
+        VT = _spectrum_rows(T, slice(None))  # open: the true max |V(T)| decides
+        divisor = VT[rows, cols]
+        size, top = np.abs(divisor), float(np.abs(VT).max())
+    vanishing = np.flatnonzero(size <= zero_tol * top)
     if vanishing.size:
         i = vanishing[0]
         raise DivisionByZeroError(
             f"spreading function of divisor vanishes at {(int(rows[i]), int(cols[i]))}"
         )
-    used, row = np.unique(rows, return_inverse=True)  # V(A) is zero on other rows
     VA = np.zeros((used.size, L), dtype=np.complex128)
     chi = np.exp(2j * np.pi * (rows * cols % L) / L)
     VA[row, cols] = np.conj(chi) / ((lattice.size / L) * divisor)

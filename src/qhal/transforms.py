@@ -5,8 +5,9 @@ function V(S)(m, n) = trace(pi(m, n)* S), one L x L FFT over the gathered
 diagonals of S (``_spreading``, inverted by ``_unspreading``), and the
 symplectic Fourier series, one N-point FFT on the (L / a) x (L / b) grid of
 lattice points with a twiddle for the shear c.  The diagonal index and the
-integer chirp are built once per L, the twiddle once per lattice, all cached
-and read-only.  Each analysis docstring states its L x L FFT budget.
+integer chirp are built once per L, the twiddle and its conjugate once per
+lattice, all cached and read-only.  Each analysis docstring states its L x L
+FFT budget.
 
 Normalizations are chosen once and used everywhere:
 
@@ -146,12 +147,13 @@ def weyl_symbol(S) -> np.ndarray:
     return symplectic_dft(fourier_wigner(S))
 
 
-@functools.lru_cache(maxsize=8)
-def _shear_twiddle(lattice: Lattice) -> np.ndarray:
-    """exp(2 pi i (i c mod b) m / L) for i < L / a (rows), m < L / b; read-only."""
+@functools.lru_cache(maxsize=16)
+def _shear_twiddle(lattice: Lattice, sign: int = 1) -> np.ndarray:
+    """exp(sign 2 pi i (i c mod b) m / L) for i < L / a (rows), m < L / b;
+    read-only.  The series takes sign 1, its inverse -1, each cached."""
     L, P, Q = lattice.L, lattice.L // lattice.a, lattice.L // lattice.b
     shift = np.arange(P) * lattice.c % lattice.b
-    twiddle = np.exp(2j * np.pi * (np.outer(shift, np.arange(Q)) % L) / L)
+    twiddle = np.exp(sign * 2j * np.pi * (np.outer(shift, np.arange(Q)) % L) / L)
     twiddle.flags.writeable = False
     return twiddle
 
@@ -163,7 +165,8 @@ def symplectic_fourier_series(c: LatticeSequence) -> QuotientFunction:
     an FFT over k, the shear twiddle and an FFT over i."""
     lat = c.lattice
     P, Q = lat.L // lat.a, lat.L // lat.b
-    inner = Q * np.fft.ifft(c.values.reshape(P, Q), axis=1) * _shear_twiddle(lat)
+    inner = np.fft.ifft(c.values.reshape(P, Q), axis=1, norm="forward")  # unscaled
+    inner *= _shear_twiddle(lat)
     quotient = quotient_reps(adjoint_lattice(lat))
     return QuotientFunction(quotient, np.fft.fft(inner, axis=0).T.ravel())
 
@@ -180,7 +183,8 @@ def inverse_symplectic_fourier_series(
         )
     P, Q = lattice.L // lattice.a, lattice.L // lattice.b
     inner = np.fft.ifft(F.values.reshape(Q, P), axis=1).T
-    values = np.fft.fft(inner * np.conj(_shear_twiddle(lattice)), axis=1) / Q
+    inner *= _shear_twiddle(lattice, -1)
+    values = np.fft.fft(inner, axis=1, norm="forward")  # the 1 / Q of the inverse
     return LatticeSequence(lattice, values.ravel())
 
 

@@ -2,7 +2,8 @@
 
 Everything here is written with explicit loops straight from the defining
 formulas and deliberately shares no code with the library, so agreement
-between the two is meaningful.
+between the two is meaningful.  The divide oracle raises the library's
+error classes, so refusals compare by class and message.
 """
 
 import numpy as np
@@ -177,6 +178,57 @@ def gaussian_window_slow(L, wraps=8):
     for j in range(-wraps, wraps + 1):
         vals += np.exp(-np.pi * (t + j * L) ** 2 / L)
     return (vals / np.linalg.norm(vals)).astype(np.complex128)
+
+
+# -- the full-transform divide ------------------------------------------------
+
+
+def underspread_divide_full(S, T, N, domain, zero_tol):
+    """The divider S = (S conv T) conv A over a lattice of N points, with the
+    support check and the divisor's zero threshold read off all L^2 values
+    of V(S) and V(T).  V(X)[m, n] = sum_a exp(-2 pi i n a / L) X[a, a - m]
+    is the FFT of the gathered diagonals; V(A) = conj(chi) / (kappa V(T)) on
+    the domain and zero off it, chi(m, n) = exp(2 pi i m n / L), kappa = N / L.
+    The domain is taken as valid (integers, one point per adjoint coset)."""
+    from qhal.errors import DivisionByZeroError, SupportViolationError
+
+    L = np.shape(S)[0]
+    a = np.arange(L)
+    diagonals = (a, (a - a[:, None]) % L)  # [m, a] -> X[a, a - m]
+
+    def spreading(X):
+        return np.fft.fft(np.asarray(X, dtype=complex)[diagonals], axis=1)
+
+    rows, cols = (np.asarray(domain, dtype=np.int64).reshape(-1, 2) % L).T
+    spill = np.abs(spreading(S))
+    peak = max(spill.max(), 1e-300)
+    spill[rows, cols] = 0.0
+    if spill.max() > 1e-12 * peak:
+        raise SupportViolationError("spreading support of S exceeds the declared domain")
+    VT = spreading(T)
+    divisor = VT[rows, cols]
+    vanishing = np.flatnonzero(np.abs(divisor) <= zero_tol * float(np.abs(VT).max()))
+    if vanishing.size:
+        i = vanishing[0]
+        raise DivisionByZeroError(
+            f"spreading function of divisor vanishes at {(int(rows[i]), int(cols[i]))}"
+        )
+    VA = np.zeros((L, L), dtype=complex)
+    chi = np.exp(2j * np.pi * (rows * cols % L) / L)
+    VA[rows, cols] = np.conj(chi) / ((N / L) * divisor)
+    A = np.empty((L, L), dtype=complex)
+    A[diagonals] = np.fft.ifft(VA, axis=1)
+    return A
+
+
+def outcome(call):
+    """call()'s result, or the class and message of the qhal error it raises."""
+    from qhal.errors import QhalError
+
+    try:
+        return call()
+    except QhalError as err:
+        return type(err), str(err)
 
 
 # -- the per-line v1 text codec ----------------------------------------------

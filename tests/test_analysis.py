@@ -42,7 +42,7 @@ from qhal import (
     translate,
     underspread_divide,
 )
-from qhal.analysis import _checked_star
+from qhal.analysis import SUPPORT_RTOL, ZERO_TOL, _checked_star
 from qhal.operators import random_operator, random_signal
 from qhal.transforms import _chirp, _spreading, _unspreading
 
@@ -694,6 +694,133 @@ def test_underspread_divide_rejects_non_integer_domain():
     for domain in ([(0.5, 0)], [(True, 0)], [(0, "1")]):
         with pytest.raises(ValueError, match="integers"):
             underspread_divide(S, T, lat, domain)
+
+
+# -- underspread division against the full-transform oracle ------------------
+
+
+@pytest.fixture
+def full_rows(monkeypatch):
+    """One flag per forward FFT: whether it ran over all L rows."""
+    ran = []
+    fft = np.fft.fft
+
+    def recording(a, *args, **kwargs):
+        ran.append(np.shape(a)[0] == np.shape(a)[-1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recording)
+    return ran
+
+
+def assert_divide_matches_oracle(S, T, lat, domain, zero_tol=ZERO_TOL):
+    """underspread_divide returns the full-transform oracle's A bit for bit,
+    or raises its refusal with the same class and message; returns the
+    refusal's class or None."""
+    want = ref.outcome(lambda: ref.underspread_divide_full(S, T, lat.size, domain, zero_tol))
+    got = ref.outcome(lambda: underspread_divide(S, T, lat, domain, zero_tol=zero_tol))
+    np.testing.assert_equal(got, want)
+    return want[0] if isinstance(want, tuple) else None
+
+
+def box(L, h1, h2):
+    return [(i % L, j % L) for i in range(-h1, h1 + 1) for j in range(-h2, h2 + 1)]
+
+
+def spread_on(L, values):
+    """The operator whose spreading function is ``values`` ({point: value})."""
+    grid = np.zeros((L, L), dtype=np.complex128)
+    for z, v in values.items():
+        grid[z] = v
+    return _unspreading(grid)
+
+
+def bump_divisor(L):
+    d = np.minimum(np.arange(L), L - np.arange(L)).astype(float)
+    return inverse_fourier_wigner(0.25 + np.exp(-np.pi * (d[:, None] ** 2 + d**2) / L))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(105, (3, 5), (2, 2)), (225, (15, 1), (3, 3)), (1001, (7, 13), (3, 3))],
+    ids=["dense_lattice", "general_lattice", "L1001"],
+)
+def test_underspread_divide_matches_full_transforms(spec, full_rows):
+    """The benchmark's lattices and L = 1001: the bounds decide for box
+    generators with bump, Gaussian and random divisors, so no forward FFT
+    runs over all rows, and A is bit-equal to the full-transform divide's; a
+    wide-support S is refused as there."""
+    L, (a, b), half = spec
+    lat = make_separable_lattice(a, b, L) if b != 1 else make_general_lattice([(a, b)], L)
+    rng = np.random.default_rng(L)
+    domain = box(L, *half)
+    S = spread_on(L, {z: complex(*rng.standard_normal(2)) for z in box(L, 1, 1)})
+    g = gaussian_window(L, verify=False)
+    for T in (bump_divisor(L), rank_one(g, g), random_operator(L, rng)):
+        del full_rows[:]
+        underspread_divide(S, T, lat, domain)
+        assert full_rows and not any(full_rows)
+        assert assert_divide_matches_oracle(S, T, lat, domain) is None
+    refusal = assert_divide_matches_oracle(random_operator(L, rng), T, lat, domain)
+    assert refusal is SupportViolationError
+
+
+def test_underspread_divide_band_cases_match_full_transforms(full_rows):
+    """Cases at the edges of the two bounds, each with the forward FFTs it
+    runs (V(S) rows, then V(T) rows, and all rows of one where its bound is
+    open) and the oracle's A or refusal."""
+    L = 15
+    lat = make_separable_lattice(3, 3, L)  # adjoint 5Z x 5Z
+    domain = box(L, 2, 2)
+    rng = np.random.default_rng(143)
+    inside = {z: complex(*rng.standard_normal(2)) for z in domain}
+    peak = max(abs(v) for v in inside.values())
+    T = bounded_spreading_operator(L, rng)
+
+    def spill(factor, flat=False):
+        """S plus an off-domain row of V(S) at factor times the support
+        threshold: one point, or every point of the row."""
+        extra = {(7, n): factor * SUPPORT_RTOL * peak for n in (range(L) if flat else [3])}
+        return spread_on(L, {**inside, **extra})
+
+    S = spread_on(L, inside)
+    # V(T) = 1 but for one domain value d: tol max|V(T)| < d <= tol sqrt(L) ||T||
+    ones = {(m, n): 1.0 for m in range(L) for n in range(L)}
+    banded = spread_on(L, {**ones, (1, 1): 5 * ZERO_TOL})
+    # the domain rows of V(T) peak at 1 and another row at 1e3, so the same
+    # kind of value vanishes once every row is read
+    hidden = spread_on(L, {**ones, (1, 1): 5 * ZERO_TOL, (7, 7): 1e3})
+    zero = np.zeros((L, L), dtype=np.complex128)
+    rows, S_all, T_all = (False, False), (False, True, False), (False, False, True)
+    cases = {  # S, T, zero_tol, the forward FFTs (True: all L rows), refusal
+        "spill 0.5x, one point": (spill(0.5), T, ZERO_TOL, rows, None),
+        "spill 2x, one point": (spill(2.0), T, ZERO_TOL, (False, True), SupportViolationError),
+        "spill 0.5x, whole row": (spill(0.5, True), T, ZERO_TOL, S_all, None),
+        "divisor in the band": (S, banded, ZERO_TOL, T_all, None),
+        "divisor vanishes off the rows' peak": (S, hidden, ZERO_TOL, T_all, DivisionByZeroError),
+        "zero_tol=0": (S, T, 0.0, rows, None),
+        "zero_tol=0, exact zero": (S, np.eye(L), 0.0, rows, DivisionByZeroError),
+        "S = 0": (zero, T, ZERO_TOL, S_all, None),  # the underflow margin opens it
+        "T = 0": (S, zero, ZERO_TOL, rows, DivisionByZeroError),
+        # squares that underflow or overflow open the bounds
+        "spill 2x, scaled by 1e-165": (
+            1e-165 * spill(2.0), T, ZERO_TOL, (False, True), SupportViolationError
+        ),
+        "divisor vanishes, scaled by 1e-165": (
+            S, 1e-165 * hidden, ZERO_TOL, T_all, DivisionByZeroError
+        ),
+        "spill 2x, scaled by 1e160": (
+            1e160 * spill(2.0), T, ZERO_TOL, (False, True), SupportViolationError
+        ),
+        "divisor vanishes, scaled by 1e160": (
+            S, 1e160 * hidden, ZERO_TOL, T_all, DivisionByZeroError
+        ),
+    }
+    for name, (S_, T_, tol, full, refusal) in cases.items():
+        del full_rows[:]
+        ref.outcome(lambda: underspread_divide(S_, T_, lat, domain, zero_tol=tol))
+        assert tuple(full_rows) == full, name
+        assert assert_divide_matches_oracle(S_, T_, lat, domain, tol) is refusal, name
 
 
 # -- norm equivalence bands --------------------------------------------------

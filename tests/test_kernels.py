@@ -43,10 +43,14 @@ from qhal import (
     underspread_divide,
     weyl_symbol,
 )
-from qhal.analysis import _checked_star, _sampled_inner_products, _synthesis_row
+from qhal.analysis import (
+    SUPPORT_RTOL, _checked_star, _sampled_inner_products, _synthesis_row
+)
 from qhal.operators import parity_conjugate, random_operator
 from qhal.phase_space import Lattice
-from qhal.transforms import _chirp, _diagonal_index, _diagonals, _shear_twiddle
+from qhal.transforms import (
+    _chirp, _diagonal_index, _diagonals, _shear_twiddle, _unspreading
+)
 
 # sheared, N = 9 points, N != L^2; its adjoint box is 3 x 3
 LAT = make_general_lattice([(3, 1)], 9)
@@ -157,7 +161,8 @@ def test_fft_budget_per_request(lattice, fft_shapes):
     """L x L FFTs per request as the docstrings state; the series FFTs
     touch only N-point arrays (2 per series: approx and recover run one,
     riesz none, since its Gram spectrum is the symbol), no other FFT runs,
-    and the divide runs none."""
+    and the divide transforms only the rows that meet its domain unless a
+    bound leaves a verdict open."""
     L, N = lattice.L, lattice.size
     rng = np.random.default_rng(232)
     S, T = random_operator(L, rng), random_operator(L, rng)
@@ -181,10 +186,20 @@ def test_fft_budget_per_request(lattice, fft_shapes):
     _sampled_inner_products(_diagonals(T - report.approximant), _diagonals(S), lattice)
     _synthesis_row(report.mask, S)
     assert fft_shapes == []
-    # V(U), V(T) and the inverse over the one row of V(A) that meets the domain
+    # the one row of V(U), V(T) and V(A) that meets the domain: U and T are
+    # decided off it by their bounds, so divide runs no L x L FFT
     del fft_shapes[:]
     underspread_divide(U, T, lattice, [(0, 0)])
-    assert fft_shapes == [(L, L), (L, L), (1, L)]
+    assert fft_shapes == [(1, L), (1, L), (1, L)]
+    # a flat spill along another row of V(U) at half the support threshold
+    # passes, but its row bound sqrt(L) times as large leaves the verdict open,
+    # so only then do all rows of V(U) run
+    spill = np.zeros((L, L), dtype=np.complex128)
+    spill[1] = 0.5 * SUPPORT_RTOL * L
+    spilled = U + _unspreading(spill)
+    del fft_shapes[:]
+    underspread_divide(spilled, T, lattice, [(0, 0)])
+    assert fft_shapes == [(1, L), (L, L), (1, L), (1, L)]
 
 
 @pytest.mark.parametrize(
@@ -244,17 +259,22 @@ def test_traced_memory_at_L1001(monkeypatch):
     """7Z x 13Z at L = 1001 (N = 11011), after a warm-up call builds the per-L
     constants: riesz traces at most 2.25 complex L x L arrays beyond its input
     (V(S) and the diagonals it comes from; the second route through
-    checked(S*) traced 4.5).  No riesz, approx or recover call reads the
-    L x L coset table, and the quotient cache keeps no L x L array."""
+    checked(S*) traced 4.5).  No riesz, approx, recover or divide call reads
+    the L x L coset table, and the quotient cache keeps no L x L array."""
     L = 1001
     lat = make_separable_lattice(7, 13, L)
     rng = np.random.default_rng(1001)
     S, T = random_operator(L, rng), random_operator(L, rng)
     G = seq_op_conv(random_sequence(lat, rng), S)
+    box = [(i % L, j % L) for i in range(-3, 4) for j in range(-3, 4)]
+    spread = np.zeros((L, L), dtype=np.complex128)
+    spread[tuple(np.array(box[::2]).T)] = rng.standard_normal(len(box[::2]))
+    U = _unspreading(spread)  # underspread on the box
     requests = {
         "riesz_report": lambda: riesz_report(S, lat),
         "best_approximation": lambda: best_approximation(T, S, lat),
         "recover_mask": lambda: recover_mask(G, S, lat),
+        "underspread_divide": lambda: underspread_divide(U, T, lat, box),
     }
     for request in requests.values():
         request()
@@ -282,6 +302,9 @@ def test_traced_memory_at_L1001(monkeypatch):
     # it, and approx frees V(T) and V(S) once read: 4.17 and 3.17 measured
     assert peaks["best_approximation"] <= 4.25, peaks
     assert peaks["recover_mask"] <= 3.25, peaks
+    # the returned A, the row blocks of diagonals and the 7 rows of V(S), V(T)
+    # and V(A): 1.03 measured (two full spreading functions traced 2.52)
+    assert peaks["underspread_divide"] <= 1.25, peaks
     assert retained < 0.05, retained  # the rebuilt quotient entries are small
     for quotient in (quotient_reps(lat), quotient_reps(adjoint_lattice(lat))):
         assert all(np.size(v) < L * L for v in vars(quotient).values())

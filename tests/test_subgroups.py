@@ -48,7 +48,7 @@ from qhal import (
     tf_shift,
     underspread_divide,
 )
-from qhal.analysis import _checked_star, _sampled_inner_products, _synthesis_row
+from qhal.analysis import ZERO_TOL, _checked_star, _sampled_inner_products, _synthesis_row
 from qhal.operators import random_operator
 from qhal.transforms import _diagonals, _periodize
 
@@ -201,6 +201,30 @@ def test_fourier_side_matches_oracles(L):
         h = ref.op_op_conv_slow(Su, T, lat.points, L)
         rebuilt = ref.seq_op_conv_slow(lat.points, h, A, L)
         assert hs_norm(rebuilt - Su) < 1e-11 * hs_norm(Su), (a, c, b)
+
+
+@pytest.mark.parametrize("L", range(2, 10))
+def test_divide_matches_full_transform_oracle(L):
+    """On every subgroup, underspread_divide gives the full-transform
+    divide's A bit for bit, or its refusal with the same class and message:
+    generators on a few adjoint coset representatives or spread everywhere,
+    random, identity and zero divisors, and zero_tol = 0."""
+    rng = np.random.default_rng(300 + L)
+    for a, c, b in triples(L):
+        lat = make_general_lattice(generators(a, c, b, L), L)
+        domain = quotient_reps(adjoint_lattice(lat)).reps[:3]
+        Su = sum(complex(*rng.standard_normal(2)) * tf_shift(z, L) for z in domain) / L
+        zero = np.zeros((L, L), dtype=np.complex128)
+        ops = (Su, random_operator(L, rng), zero)
+        divisors = (random_operator(L, rng), np.eye(L, dtype=np.complex128), zero)
+        for S in ops:
+            for T in divisors:
+                for tol in (ZERO_TOL, 0.0):
+                    want = ref.outcome(
+                        lambda: ref.underspread_divide_full(S, T, lat.size, domain, tol)
+                    )
+                    got = ref.outcome(lambda: underspread_divide(S, T, lat, domain, tol))
+                    np.testing.assert_equal(got, want, err_msg=str((a, c, b)))
 
 
 def test_gram_spectrum_matches_dense_eigvalsh_at_L105():
