@@ -60,7 +60,8 @@ class FormatError(QhalError):
 
 
 class DegenerateWindowError(QhalError):
-    """A named window failed its build-time non-degeneracy check."""
+    """Kept for API stability; nothing raises it.  Windows are not checked
+    when built: the Riesz gate (``NotRieszError``) decides about generators."""
 
 
 class NonFiniteError(QhalError):

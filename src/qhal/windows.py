@@ -1,18 +1,19 @@
 """Named analysis windows used by the command line tools.
 
 The gaussian-like window is the L-periodization of exp(-pi t^2 / L),
-normalized to unit energy.  Its short-time Fourier transform with itself
-has no zero samples for the dimensions used here; this is checked when
-the window is built rather than assumed.
+normalized to unit energy.  It is usable at every L: whether its lattice
+translates form a Riesz sequence is a property of the lattice, decided by
+the analysis's Riesz gate (the symbol's zero set, ``NotRieszError``), not
+when the window is built.  At even L its STFT with itself vanishes exactly
+at (L/2, n) and (m, L/2) for odd m and n; the gate refuses a lattice only
+when some whole coset of its adjoint lies in that set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateWindowError
 from .phase_space import check_dimension
-from .transforms import stft
 
 __all__ = [
     "gaussian_window",
@@ -25,28 +26,19 @@ __all__ = [
 # periodization tail: exp(-pi L (j + t/L)^2) is negligible past a few wraps
 _WRAPS = 8
 
-_STFT_FLOOR = 1e-8
-
 
 def gaussian_window(L: int, verify: bool = True) -> np.ndarray:
     """Periodized discrete Gaussian with unit norm.
 
-    With verify=True the full STFT against itself is computed and every
-    sample checked against a relative floor, so downstream frame
-    computations cannot silently divide by a structural zero.
+    ``verify`` is kept so that callers passing it keep working, and changes
+    nothing: no window check can stand in for the Riesz gate, because
+    whether the translates of g tensor g are Riesz depends on the lattice.
     """
     L = check_dimension(L)
     t = np.arange(L, dtype=np.float64)
     j = np.arange(-_WRAPS, _WRAPS + 1)
     vals = np.exp(-np.pi * (t + L * j[:, None]) ** 2 / L).sum(axis=0)
-    window = (vals / np.linalg.norm(vals)).astype(np.complex128)
-    if verify:
-        amb = np.abs(stft(window, window))
-        if amb.min() <= _STFT_FLOOR * amb.max():
-            raise DegenerateWindowError(
-                f"gaussian window at L={L} has near-zero STFT samples"
-            )
-    return window
+    return (vals / np.linalg.norm(vals)).astype(np.complex128)
 
 
 def delta_window(L: int) -> np.ndarray:

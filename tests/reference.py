@@ -180,6 +180,40 @@ def gaussian_window_slow(L, wraps=8):
     return (vals / np.linalg.norm(vals)).astype(np.complex128)
 
 
+def gaussian_stft_closed_form(L):
+    """stft(g, g) of the periodized Gaussian g from Poisson summation:
+
+        c sum_{j,k} exp(-pi ((m + jL)^2 + (n + kL)^2) / (2L))
+                    exp(-i pi (m + jL)(n + kL) / L),
+
+    c = 1 / (the sum at (0, 0)), since g has unit norm.  j and k run over
+    -4..4 up to L = 26 and over {-1, 0} above it, where every dropped wrap
+    is below exp(-pi L / 2) of the peak.  No FFT and no library kernel."""
+    wraps = np.arange(-4, 5) if L <= 26 else np.array([-1, 0])
+    t = np.arange(L, dtype=np.float64)
+    V = np.zeros((L, L), dtype=complex)
+    for j in wraps:
+        for k in wraps:
+            m, n = t[:, None] + j * L, t[None, :] + k * L
+            V += np.exp(-np.pi * (m**2 + n**2) / (2 * L) - 1j * np.pi * m * n / L)
+    origin = sum(np.exp(-np.pi * L * (j**2 + k**2) / 2 - 1j * np.pi * j * k * L)
+                 for j in wraps for k in wraps)
+    return V / origin
+
+
+def adjoint_coset_sums(f, gens, reps, L):
+    """kappa times the sums of f over the cosets z + Lambda° for z in reps,
+    where Lambda° holds the points (m, n) with n gm - m gn = 0 mod L for
+    every generator (gm, gn) of the lattice, and kappa = L / |Lambda°|."""
+    m, n = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
+    inside = np.ones((L, L), dtype=bool)
+    for gm, gn in gens:
+        inside &= (n * gm - m * gn) % L == 0
+    hm, hn = np.nonzero(inside)
+    zm, zn = (np.asarray(r)[:, None] for r in reps)
+    return L / hm.size * f[(zm + hm) % L, (zn + hn) % L].sum(axis=1)
+
+
 # -- the full-transform divide ------------------------------------------------
 
 

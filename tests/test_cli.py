@@ -193,11 +193,28 @@ def test_analysis_commands_run_at_even_L(capsys, L, lattice):
     assert json.loads(out)["residual_hs"] >= 0
 
 
+def test_recover_round_trip_at_even_L(capsys, tmp_path):
+    """The Gaussian is Riesz on 2Z x 4Z at L = 8, so a Gabor multiplier with
+    the same window recovers its mask exactly."""
+    mask_path = tmp_path / "m.seq"
+    code, out, _ = run(
+        capsys,
+        "recover", "--L", "8", "--lattice", "2,4",
+        "--op", "rank1:gauss,gauss", "--target", "gabor:rand,gauss",
+        "--out", str(mask_path),
+    )
+    assert code == 0
+    assert json.loads(out)["residual_hs"] < 1e-12
+    lat = make_separable_lattice(2, 4, 8)
+    want = random_sequence(lat, np.random.default_rng([1, 23])).values
+    got = loads_sequence(load_text(mask_path)).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_fourier_wigner_specs_stay_odd_only(capsys):
-    """bump and underspread are defined through FW, and the Gaussian's
-    ambiguity function vanishes at (L/2, n) for odd n when L is even."""
+    """bump and underspread are defined through FW."""
     head = ("riesz", "--L", "8", "--lattice", "2,4")
-    for spec in ("bump", "underspread:1,1", "rank1:gauss,gauss"):
+    for spec in ("bump", "underspread:1,1"):
         code, out, err = run(capsys, *head, "--op", spec)
         assert code == 1 and out == "", spec
         assert "L=8" in err, spec
@@ -281,6 +298,21 @@ def test_suite_single_case_passes(capsys):
     assert doc["pass"] is True
     assert doc["cases"][0]["L"] == 9
     assert all(c["pass"] for c in doc["cases"][0]["checks"])
+
+
+def test_suite_passes_past_L_26(capsys):
+    """Every check at L = 27 and 45, whose Gaussian cases build the window
+    at these sizes, passes under its pinned tolerance."""
+    code, out, _ = run(capsys, "suite", "--cases", "27:3,9;45:3,5", "--seed", "0")
+    assert code == 0
+    doc = json.loads(out.splitlines()[-1])
+    assert doc["pass"] is True
+    assert [case["L"] for case in doc["cases"]] == [27, 45]
+    for case in doc["cases"]:
+        for check in case["checks"]:
+            assert check["pass"], (case["L"], check)
+            if check["tol"] is not None:
+                assert check["deviation"] <= check["tol"], (case["L"], check)
 
 
 def test_suite_json_deterministic_across_runs(capsys, tmp_path):

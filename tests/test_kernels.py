@@ -21,6 +21,7 @@ from qhal import (
     fourier_wigner,
     fs_of_op_op_conv,
     fw_of_seq_op_conv,
+    gaussian_window,
     gram_matrix,
     inverse_fourier_wigner,
     inverse_symplectic_fourier_series,
@@ -212,6 +213,20 @@ def test_series_uses_only_lattice_size_ffts(lattice, fft_shapes):
     inverse_symplectic_fourier_series(symplectic_fourier_series(c), lattice)
     assert len(fft_shapes) == 4
     assert all(int(np.prod(s)) == lattice.size for s in fft_shapes)
+
+
+@pytest.mark.parametrize("L", [9, 26, 4096])
+def test_gaussian_window_runs_no_fft(L, fft_shapes):
+    """The default build is the wrap sum alone: no FFT, and at L = 4096 a
+    traced peak under 2 MB (an STFT check would hold two 256 MB grids)."""
+    tracemalloc.start()
+    try:
+        gaussian_window(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fft_shapes == []
+    assert peak < 2 * 2**20, peak
 
 
 # -- per-L constants -------------------------------------------------------------

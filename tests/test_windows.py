@@ -1,4 +1,5 @@
-"""Named windows: normalization and the nonvanishing-STFT guarantee."""
+"""Named windows: normalization, the wrap loop, and the Gaussian's STFT and
+Riesz symbol against their closed forms at every L."""
 
 from __future__ import annotations
 
@@ -8,9 +9,13 @@ import pytest
 from qhal import (
     delta_window,
     gaussian_window,
+    make_general_lattice,
+    make_separable_lattice,
     named_window,
     ones_window,
     random_window,
+    rank_one,
+    riesz_report,
     stft,
 )
 
@@ -28,9 +33,8 @@ def test_gaussian_window_is_normalized_and_positive():
 
 
 def test_gaussian_window_matches_the_wrap_loop_bit_for_bit():
-    # verify=False: the STFT floor refuses even L and L >= 26
     for L in (2, 3, 9, 26, 105, 1024):
-        w = gaussian_window(L, verify=False)
+        w = gaussian_window(L)
         assert w.dtype == np.complex128
         assert w.tobytes() == ref.gaussian_window_slow(L).tobytes(), L
 
@@ -39,6 +43,55 @@ def test_gaussian_window_stft_has_no_zero_samples():
     for L in (9, 15):
         amb = np.abs(stft(gaussian_window(L), gaussian_window(L)))
         assert amb.min() > 1e-8 * amb.max()
+
+
+@pytest.mark.parametrize("L", [9, 15, 26, 45, 225, 1001, 1024])
+def test_gaussian_stft_matches_its_closed_form(L):
+    g = gaussian_window(L)
+    V = stft(g, g)
+    assert np.abs(V - ref.gaussian_stft_closed_form(L)).max() <= 1e-13 * np.abs(V).max()
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        make_separable_lattice(3, 5, 45),
+        make_general_lattice([(3, 1)], 45),
+        make_separable_lattice(3, 5, 105),
+        make_general_lattice([(15, 1)], 225),
+        make_separable_lattice(7, 13, 1001),
+        make_separable_lattice(16, 16, 1024),
+    ],
+    ids=repr,
+)
+def test_gaussian_riesz_symbol_matches_its_closed_form(lattice):
+    """The Riesz gate accepts the Gaussian past L = 26, and its symbol is the
+    closed-form |stft|^2 summed over the adjoint cosets.  A is compared
+    relative to itself: B/A reaches 2.4e8 at L = 1001 on 7Z x 13Z."""
+    L = lattice.L
+    g = gaussian_window(L)
+    report = riesz_report(rank_one(g, g), lattice)
+    squares = np.abs(ref.gaussian_stft_closed_form(L)) ** 2
+    symbol = ref.adjoint_coset_sums(squares, lattice.generators, report.symbol.quotient.coords, L)
+    lower, upper = symbol.real.min(), symbol.real.max()
+    assert np.abs(report.symbol.values - symbol).max() <= 1e-13 * upper
+    assert abs(report.upper - upper) <= 1e-13 * upper
+    assert abs(report.lower - lower) <= 1e-11 * lower
+    assert report.is_riesz
+
+
+@pytest.mark.parametrize("L", [8, 10, 12, 16, 26])
+def test_gaussian_stft_zeros_at_even_L(L):
+    """At even L, |stft(g, g)| vanishes on (L/2, n) for odd n and (m, L/2)
+    for odd m, and nowhere else, in the library and in the closed form."""
+    half, odd = L // 2, np.arange(1, L, 2)
+    zeros = np.zeros((L, L), dtype=bool)
+    zeros[half, odd] = zeros[odd, half] = True
+    g = gaussian_window(L)
+    for V in (stft(g, g), ref.gaussian_stft_closed_form(L)):
+        amb = np.abs(V)
+        assert amb[zeros].max() <= 1e-15 * amb.max(), L
+        assert amb[~zeros].min() >= 1e-9 * amb.max(), L
 
 
 def test_other_named_windows():
