@@ -9,7 +9,6 @@ Poisson summation formula hold with constant one.
 
 from .errors import (
     BadExponentError,
-    DegenerateWindowError,
     DimensionMismatchError,
     DivisionByZeroError,
     EvenDimensionError,
@@ -85,7 +84,6 @@ from .analysis import (
     TauberianReport,
     best_approximation,
     biorthogonal_generator,
-    gram_matrix,
     nonassociativity_witness,
     recover_mask,
     riesz_report,

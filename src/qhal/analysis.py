@@ -41,7 +41,7 @@ from .transforms import (
 
 __all__ = [
     "ZERO_TOL", "RieszReport", "ApproxReport", "MaskRecovery", "TauberianReport",
-    "gram_matrix", "riesz_report", "biorthogonal_generator", "best_approximation",
+    "riesz_report", "biorthogonal_generator", "best_approximation",
     "recover_mask", "tauberian_diagnostics", "nonassociativity_witness",
     "underspread_divide",
 ]
@@ -150,27 +150,6 @@ def _synthesis_row(mask: LatticeSequence, S: np.ndarray) -> np.ndarray:
         inner *= roots[p * lat.c % lat.b * j % L]
     m = p * lat.a
     return np.einsum("pj,pj->j", inner, S[-m % L, (j - m) % L])
-
-
-def gram_matrix(S, lattice: Lattice) -> np.ndarray:
-    """Gram matrix of the lattice translates of S in HS inner product.
-
-    Entry (i, j) is <alpha_j S, alpha_i S> = (S conv checked(S*))(p_i - p_j),
-    so the matrix is constant along lattice differences.  This dense form is
-    for the tests and the suite; ``riesz_report`` takes its spectrum from the
-    symbol and never forms it.  It is gathered from a 2 x 2 tiling of the
-    grid, where p_i - p_j + (L, L) needs no reduction mod L; the N x N flat
-    index is int32 (4 L^2 fits).
-    """
-    S = as_operator(S, L=lattice.L)
-    L = lattice.L
-    rows, cols = lattice.coords
-    grid = np.zeros((L, L), dtype=np.complex128)
-    grid[rows, cols] = op_op_conv(S, _checked_star(S), lattice).values
-    flat = (rows * (2 * L) + cols).astype(np.int32)
-    index = np.subtract.outer(flat, flat)
-    index += (2 * L + 1) * L
-    return np.tile(grid, (2, 2)).ravel()[index]
 
 
 @dataclass(eq=False)
@@ -443,7 +422,7 @@ def underspread_divide(
     # domain point k lies in row spill_rows[k] of spill: the rows of V(S) that
     # meet the domain, or all of them when the bound leaves the check open
     spill, spill_rows = np.abs(_spectrum_rows(S, used)), row
-    peak = max(spill.max(), 1e-300)
+    peak = max(spill.max(initial=0.0), 1e-300)
     if _off_rows_bound(S, used) > SUPPORT_RTOL * peak:
         spill, spill_rows = np.abs(_spectrum_rows(S, slice(None))), rows
         peak = max(spill.max(), 1e-300)
@@ -454,7 +433,7 @@ def underspread_divide(
         )
     VT = _spectrum_rows(T, used)
     divisor = VT[row, cols]
-    size, top = np.abs(divisor), float(np.abs(VT).max())
+    size, top = np.abs(divisor), float(np.abs(VT).max(initial=0.0))
     hs2 = float(np.vdot(T, T).real) + 2 * L * L * _TINY
     ceiling = _SLACK * math.sqrt(L * hs2)  # >= max |V(T)|, by Parseval
     if np.any((size > zero_tol * top) & ~(size > zero_tol * ceiling)):

@@ -2,8 +2,10 @@
 
 Every error derives from :class:`QhalError` so callers can catch the whole
 family at once.  The CLI maps :class:`QhalError` subclasses to exit code 1
-(configuration / input problems) except for the degeneracy signals
-(:class:`NotRieszError`), which map to exit code 2.
+(configuration / input problems) except for the degeneracy signals, which
+map to exit code 2: ``NotRieszError``, ``SupportViolationError``,
+``DivisionByZeroError`` and ``FullLatticeError``.  No window is checked
+when built; the Riesz gate (``NotRieszError``) decides about generators.
 """
 
 
@@ -57,11 +59,6 @@ class DivisionByZeroError(QhalError):
 
 class FormatError(QhalError):
     """A file does not follow the declared QHAL serialization format."""
-
-
-class DegenerateWindowError(QhalError):
-    """Kept for API stability; nothing raises it.  Windows are not checked
-    when built: the Riesz gate (``NotRieszError``) decides about generators."""
 
 
 class NonFiniteError(QhalError):

@@ -86,10 +86,10 @@ class Lattice:
 
     Its points are (i a, (i c mod b) + k b) for i < L / a and k < L / b, in
     this order, which is also their sorted order.  ``coords`` holds them as
-    two int arrays; the tuple ``points`` and the dict ``index`` are built on
-    first use.  Equality and hashing use ``(L, a, c, b)`` only; the stored
-    generator list is a convenience for serialization and may differ
-    between equal lattices.
+    two int arrays, the tuple ``points`` is built on first use, and
+    ``locate(m, n)`` gives membership and position.  Equality and hashing
+    use ``(L, a, c, b)`` only; the stored generator list is a convenience
+    for serialization and may differ between equal lattices.
     """
 
     L: int
@@ -109,10 +109,6 @@ class Lattice:
     @cached_property
     def points(self) -> tuple[PhasePoint, ...]:
         return tuple(zip(*np.array(self.coords).tolist()))
-
-    @cached_property
-    def index(self) -> dict[PhasePoint, int]:
-        return {z: i for i, z in enumerate(self.points)}
 
     @property
     def size(self) -> int:
@@ -221,12 +217,6 @@ class QuotientIndex:
         minus floor(m / a) (a, c) then mod (0, b) lands in the box."""
         a, c, b = self.lattice.a, self.lattice.c, self.lattice.b
         return (m % a) * b + (n - (m // a) * c) % b
-
-    @property
-    def coset_of(self) -> np.ndarray:
-        """``locate`` over the whole L x L grid, computed on each access."""
-        L = self.lattice.L
-        return self.locate(np.arange(L)[:, None], np.arange(L))
 
     def coset_index(self, z) -> int:
         return int(self.locate(*reduce_point(z, self.lattice.L)))

@@ -19,7 +19,6 @@ from qhal import (
     delta_sequence,
     fundamental_domain,
     gaussian_window,
-    gram_matrix,
     hs_inner,
     hs_norm,
     inverse_fourier_wigner,
@@ -174,21 +173,20 @@ def test_gram_eigenvalues_match_symbol_multiset():
         lat = make_separable_lattice(a, b, L)
         S = random_operator(L, rng)
         report = riesz_report(S, lat)
-        eigs = np.linalg.eigvalsh(gram_matrix(S, lat))  # not through the symbol
+        M = synthesis_map(S, lat).matrix  # the translates, not through the symbol
+        eigs = np.linalg.eigvalsh(M.conj().T @ M)
         vals = np.sort(report.symbol.values.real)
         assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
         assert np.array_equal(report.gram_eigenvalues, vals)
 
 
 def test_riesz_spectrum_at_L225_needs_no_dense_gram(monkeypatch):
-    """N = 2025: the spectrum comes from the characters, so neither the
-    N x N Gram matrix nor an eigendecomposition is formed."""
-    import qhal.analysis
+    """N = 2025: the spectrum comes from the characters, so no N x N
+    eigendecomposition runs."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("dense Gram route taken")
 
-    monkeypatch.setattr(qhal.analysis, "gram_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     lat = make_separable_lattice(5, 5, 225)
     S = random_operator(225, np.random.default_rng(225))
@@ -259,10 +257,13 @@ def test_gram_eigenvalues_match_the_series_of_the_gram_kernel(case):
 
 
 def test_gram_matrix_is_translation_invariant_hermitian():
+    """G = M* M over the translates, the columns of M, is the convolution
+    kernel S conv checked(S*) read at the lattice differences."""
     rng = np.random.default_rng(103)
     lat = make_separable_lattice(3, 3, 9)
     S = random_operator(9, rng)
-    G = gram_matrix(S, lat)
+    M = synthesis_map(S, lat).matrix
+    G = M.conj().T @ M
     assert np.allclose(G, G.conj().T, atol=1e-11)
     h = op_op_conv(S, _checked_star(S), lat)
     for i, p in enumerate(lat.points):
@@ -272,13 +273,15 @@ def test_gram_matrix_is_translation_invariant_hermitian():
 
 
 def test_gram_matrix_general_lattice_matches_translates():
+    """On a sheared lattice the columns of the synthesis matrix M are the
+    translates, so M* M is their Gram matrix."""
     rng = np.random.default_rng(130)
     L = 15
     lat = make_general_lattice([(3, 1)], L)
     S = random_operator(L, rng)
-    translates = [ref.translate_slow(S, m, n, L) for m, n in lat.points]
-    want = np.array([[np.vdot(Ti, Tj) for Tj in translates] for Ti in translates])
-    assert np.max(np.abs(gram_matrix(S, lat) - want)) < 1e-11 * hs_norm(S) ** 2
+    translates = [ref.translate_slow(S, m, n, L).reshape(-1) for m, n in lat.points]
+    M = synthesis_map(S, lat).matrix
+    assert np.max(np.abs(M - np.transpose(translates))) < 1e-13 * hs_norm(S)
 
 
 def test_riesz_rejects_non_finite_generator():
@@ -296,7 +299,8 @@ def test_riesz_positivity_matches_gram_rank():
     lat = make_separable_lattice(3, 3, 9)
     S = random_operator(9, rng)
     report = riesz_report(S, lat)
-    G = gram_matrix(S, lat)
+    M = synthesis_map(S, lat).matrix
+    G = M.conj().T @ M
     nonsingular = np.linalg.matrix_rank(G, tol=1e-9) == lat.size
     assert report.is_riesz == (report.lower > 0) == nonsingular
 
@@ -815,12 +819,16 @@ def test_underspread_divide_band_cases_match_full_transforms(full_rows):
         "divisor vanishes, scaled by 1e160": (
             S, 1e160 * hidden, ZERO_TOL, T_all, DivisionByZeroError
         ),
+        # every row is off an empty domain: S != 0 is refused, S = 0 gives A = 0
+        "empty domain": (S, T, ZERO_TOL, (False, True), SupportViolationError),
+        "empty domain, S = 0": (zero, T, ZERO_TOL, S_all, None),
     }
     for name, (S_, T_, tol, full, refusal) in cases.items():
+        dom = [] if name.startswith("empty domain") else domain
         del full_rows[:]
-        ref.outcome(lambda: underspread_divide(S_, T_, lat, domain, zero_tol=tol))
+        ref.outcome(lambda: underspread_divide(S_, T_, lat, dom, zero_tol=tol))
         assert tuple(full_rows) == full, name
-        assert assert_divide_matches_oracle(S_, T_, lat, domain, tol) is refusal, name
+        assert assert_divide_matches_oracle(S_, T_, lat, dom, tol) is refusal, name
 
 
 # -- norm equivalence bands --------------------------------------------------

@@ -267,9 +267,9 @@ def test_seq_seq_conv_of_deltas_adds_points():
     lat = make_separable_lattice(3, 3, 9)
     mu, nu = (3, 6), (6, 6)
     dmu = LatticeSequence(lat, np.zeros(lat.size, dtype=np.complex128))
-    dmu.values[lat.index[mu]] = 1.0
+    dmu.values[lat.locate(*mu)[1]] = 1.0
     dnu = LatticeSequence(lat, np.zeros(lat.size, dtype=np.complex128))
-    dnu.values[lat.index[nu]] = 1.0
+    dnu.values[lat.locate(*nu)[1]] = 1.0
     out = seq_seq_conv(dmu, dnu)
     target = ((mu[0] + nu[0]) % 9, (mu[1] + nu[1]) % 9)
     for p in lat.points:

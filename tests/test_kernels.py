@@ -14,7 +14,6 @@ from qhal import (
     LatticeSequence,
     NonFiniteError,
     QuotientFunction,
-    QuotientIndex,
     adjoint_lattice,
     best_approximation,
     biorthogonal_generator,
@@ -22,7 +21,6 @@ from qhal import (
     fs_of_op_op_conv,
     fw_of_seq_op_conv,
     gaussian_window,
-    gram_matrix,
     inverse_fourier_wigner,
     inverse_symplectic_fourier_series,
     make_general_lattice,
@@ -87,7 +85,6 @@ CALLS = {
     "fs_of_op_op_conv": lambda S, T, U: fs_of_op_op_conv(S, T, LAT),
     "mixed_associativity_defect": lambda S, T, U: mixed_associativity_defect(_c, S, T),
     "module_associativity_defect": lambda S, T, U: module_associativity_defect(_c, _d, S),
-    "gram_matrix": lambda S, T, U: gram_matrix(S, LAT),
     "riesz_report": lambda S, T, U: riesz_report(S, LAT),
     "biorthogonal_generator": lambda S, T, U: biorthogonal_generator(S, LAT),
     "best_approximation": lambda S, T, U: best_approximation(T, S, LAT),
@@ -270,12 +267,12 @@ def test_overflowed_internal_grid_is_refused():
 # -- memory at L = 1001 ------------------------------------------------------------
 
 
-def test_traced_memory_at_L1001(monkeypatch):
+def test_traced_memory_at_L1001():
     """7Z x 13Z at L = 1001 (N = 11011), after a warm-up call builds the per-L
     constants: riesz traces at most 2.25 complex L x L arrays beyond its input
     (V(S) and the diagonals it comes from; the second route through
-    checked(S*) traced 4.5).  No riesz, approx, recover or divide call reads
-    the L x L coset table, and the quotient cache keeps no L x L array."""
+    checked(S*) traced 4.5).  The quotient cache keeps no L x L array, and
+    the traced peaks leave no room for an L x L int64 coset table."""
     L = 1001
     lat = make_separable_lattice(7, 13, L)
     rng = np.random.default_rng(1001)
@@ -294,10 +291,6 @@ def test_traced_memory_at_L1001(monkeypatch):
     for request in requests.values():
         request()
 
-    def refuse(self):
-        raise AssertionError("L x L coset table built")
-
-    monkeypatch.setattr(QuotientIndex, "coset_of", property(refuse))
     quotient_reps.cache_clear()
     array = 16 * L * L
     peaks = {}

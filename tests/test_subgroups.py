@@ -26,7 +26,6 @@ from qhal import (
     best_approximation,
     biorthogonal_generator,
     delta_sequence,
-    gram_matrix,
     hs_norm,
     inverse_symplectic_fourier_series,
     lift_quotient_function,
@@ -96,7 +95,8 @@ def test_lattice_structure_matches_oracles(L):
         lat = make_general_lattice(gens, L)
         points = sorted(ref.closure_slow(gens, L))
         assert list(lat.points) == points, (a, c, b)
-        assert lat.index == {p: i for i, p in enumerate(points)}
+        inside, position = lat.locate(*np.array(points).T)
+        assert inside.all() and position.tolist() == list(range(lat.size))
         members = set(points)
         assert [lat.contains(z) for z in grid] == [z in members for z in grid]
         assert separable_profile(lat) == ((a, b) if c == 0 else None)
@@ -111,7 +111,7 @@ def test_lattice_structure_matches_oracles(L):
         reps, coset_of = ref.quotient_slow(points, L)
         q = quotient_reps(lat)
         assert q.reps == reps, (a, c, b)
-        assert np.array_equal(q.coset_of, coset_of)
+        assert np.array_equal(q.locate(*np.indices((L, L))), coset_of)
         assert [q.coset_index(z) for z in grid] == coset_of.ravel().tolist()
         values = np.arange(q.size) * (1 - 2j)  # one distinct value per coset
         lifted = lift_quotient_function(QuotientFunction(q, values))
@@ -170,12 +170,12 @@ def test_fourier_side_matches_oracles(L):
         eigs = np.sort(report.gram_eigenvalues)
         vals = np.sort(report.symbol.values.real)
         assert np.max(np.abs(eigs - vals)) < 1e-9 * max(1.0, vals.max())
-        dense = np.linalg.eigvalsh(gram_matrix(S, lat))
+        D = synthesis_map(S, lat).matrix
+        dense = np.linalg.eigvalsh(D.conj().T @ D)
         dev = np.max(np.abs(report.gram_eigenvalues - dense))
         assert dev < 1e-12 * report.upper, (a, c, b)
         assert tauberian_diagnostics(S, lat).consistent, (a, c, b)
 
-        D = synthesis_map(S, lat).matrix
         lsq = np.linalg.lstsq(D, T.reshape(-1), rcond=None)[0]
         approx = best_approximation(T, S, lat)
         assert np.allclose(approx.mask.values, lsq, atol=1e-11), (a, c, b)
@@ -231,7 +231,8 @@ def test_gram_spectrum_matches_dense_eigvalsh_at_L105():
     lat = make_separable_lattice(3, 5, 105)  # N = 735
     S = random_operator(105, np.random.default_rng(105))
     report = riesz_report(S, lat)
-    dense = np.linalg.eigvalsh(gram_matrix(S, lat))
+    M = synthesis_map(S, lat).matrix
+    dense = np.linalg.eigvalsh(M.conj().T @ M)
     assert report.gram_eigenvalues.shape == (735,)
     assert np.max(np.abs(report.gram_eigenvalues - dense)) < 1e-12 * report.upper
 
