@@ -16,23 +16,30 @@ Dividing by it yields the biorthogonal generator and the orthogonal
 projection onto the span, which serves both best approximation and exact
 mask recovery.  The projection's cross-checks are direct sums on the
 gathered diagonals and share no FFT with it.
+
+Finiteness is decided by passes the requests make anyway: the coset sums of
+the symbol and the cross term, which a NaN or inf entry reaches through the
+FFT (NaN x 0 is NaN), and the divide's diagonal energies of S and Parseval
+sum of T.  The operands are scanned only when these are not finite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convolutions import op_op_conv, seq_op_conv, synthesis_map
 from .errors import (
-    DivisionByZeroError, FullLatticeError, NotRieszError, SupportViolationError
+    DivisionByZeroError, FullLatticeError, NonFiniteError, NotRieszError,
+    SupportViolationError,
 )
-from .operators import RANK_RTOL, as_operator, random_operator
+from .operators import RANK_RTOL, _coerce_operator, _finite, as_operator, random_operator
 from .phase_space import (
-    Lattice, LatticeSequence, PhasePoint, QuotientFunction, _is_int, adjoint_lattice,
-    quotient_reps,
+    Lattice, LatticeSequence, PhasePoint, QuotientFunction, adjoint_lattice, quotient_reps,
 )
 from .transforms import (
     _chirp, _diagonal_index, _diagonals, _periodize, _spreading, _undiagonals,
@@ -64,6 +71,21 @@ _TINY = float(np.finfo(np.float64).tiny)
 def _checked_star(S: np.ndarray) -> np.ndarray:
     """conj(S[-j, -i]) at (i, j): S reversed and rolled by one is S[-i, -j]."""
     return np.conj(np.roll(S[::-1, ::-1], 1, axis=(0, 1)).T)
+
+
+@contextmanager
+def _operands(lattice: Lattice, *operands):
+    """The operands, coerced but not scanned, for passes up to the coset sums.
+    Non-finite values flow there quietly; when the sums are refused, a NaN or
+    inf entry is refused as by ``as_operator``, else the sums' refusal stands."""
+    mats = [_coerce_operator(X, L=lattice.L) for X in operands]
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            yield mats
+    except NonFiniteError:
+        for X in mats:
+            _finite(X, "operator")
+        raise
 
 
 def _check_tol(zero_tol) -> None:
@@ -178,7 +200,8 @@ def riesz_report(S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> RieszReport
     eigenvalues (ascending, as from eigvalsh) are its sorted values.  FFT
     budget: 1 of size L x L (V(S)); no series.
     """
-    symbol, zero = _symbol(_spreading(as_operator(S, L=lattice.L)), lattice, zero_tol)
+    with _operands(lattice, S) as (S,):
+        symbol, zero = _symbol(_spreading(S), lattice, zero_tol)
     eigs = np.sort(symbol.values.real)
     return RieszReport(
         lattice=lattice,
@@ -198,8 +221,9 @@ def biorthogonal_generator(
     R = b conv checked(S*), where the series of b inverts the symbol, so
     V(R) = conj(chi V(S)) / symbol; requires the translates of S to be Riesz.
     """
-    VS = _spreading(as_operator(S, L=lattice.L))
-    symbol = _riesz_symbol(VS, lattice, zero_tol)
+    with _operands(lattice, S) as (S,):
+        VS = _spreading(S)
+        symbol = _riesz_symbol(VS, lattice, zero_tol)
     chi = _chirp(lattice.L, 1)
     return _unspreading(np.conj(chi * VS) / lift_quotient_function(symbol))
 
@@ -237,13 +261,12 @@ def best_approximation(
     (V(S), V(T) and the approximant), none in the checks; the series runs on
     N points.
     """
-    T = as_operator(T, L=lattice.L)
-    S = as_operator(S, L=lattice.L)
-    DS, DT = _diagonals(S), _diagonals(T)
-    VS = np.fft.fft(DS, axis=1)
-    symbol = _riesz_symbol(VS, lattice, zero_tol)
-    VT = np.fft.fft(DT, axis=1)
-    ratio = _project(np.conj(VT, out=VT), VS, symbol)
+    with _operands(lattice, T, S) as (T, S):
+        DS, DT = _diagonals(S), _diagonals(T)
+        VS = np.fft.fft(DS, axis=1)
+        symbol = _riesz_symbol(VS, lattice, zero_tol)
+        VT = np.fft.fft(DT, axis=1)
+        ratio = _project(np.conj(VT, out=VT), VS, symbol)
     del VT  # each del frees an L x L array before the next one is allocated
     mask = inverse_symplectic_fourier_series(ratio, lattice)
     # the inverse FFT's 1/L rides on the N coset values, and it runs in place
@@ -279,10 +302,10 @@ def recover_mask(G, S, lattice: Lattice, zero_tol: float = ZERO_TOL) -> MaskReco
     ||V(G) - lift(series) V(S)|| / sqrt(L), so the approximant is never
     formed.  FFT budget: 2 of size L x L; the series runs on N points.
     """
-    VG = _spreading(as_operator(G, L=lattice.L))
-    VS = _spreading(as_operator(S, L=lattice.L))
-    symbol = _riesz_symbol(VS, lattice, zero_tol)
-    ratio = _project(np.conj(VG), VS, symbol)
+    with _operands(lattice, G, S) as (G, S):
+        VG, VS = _spreading(G), _spreading(S)
+        symbol = _riesz_symbol(VS, lattice, zero_tol)
+        ratio = _project(np.conj(VG), VS, symbol)
     fit = lift_quotient_function(ratio)
     VG -= np.multiply(fit, VS, out=fit)
     return MaskRecovery(
@@ -318,7 +341,6 @@ def tauberian_diagnostics(
     Riesz lower bound must tell one consistent story; kernel_dim always
     equals the number of zero cosets.
     """
-    S = as_operator(S, L=lattice.L)
     riesz = riesz_report(S, lattice, zero_tol)
     sing = np.linalg.svd(synthesis_map(S, lattice).matrix, compute_uv=False)
     rank = int(np.count_nonzero(sing > RANK_RTOL * sing.max(initial=0.0)))
@@ -360,24 +382,20 @@ def nonassociativity_witness(
     return T, float(np.linalg.norm(seq_op_conv(op_op_conv(T, R, lattice), S) - T))
 
 
-def _spectrum_rows(X: np.ndarray, rows) -> np.ndarray:
-    """Rows ``rows`` of V(X): row m is the FFT of diagonal m of X."""
-    return np.fft.fft(X.ravel().take(_diagonal_index(X.shape[0])[rows]), axis=1)
-
-
 def _off_rows_bound(X: np.ndarray, rows: np.ndarray) -> float:
     """A bound on |V(X)| off the rows ``rows``: max_n |V(X)(m, n)| <=
     sqrt(L) ||diag_m(X)||_2 by Cauchy-Schwarz, so sqrt(L) times the largest
     energy of the other diagonals, gathered in row blocks of <= 2**16 values.
-    An overflowing sum gives inf, which bounds nothing."""
+    It refuses NaN or inf entries; finite ones that overflow bound nothing."""
     L = X.shape[0]
-    flat, index = X.ravel(), _diagonal_index(L)
     energy = np.empty(L)
     step = max(1, 2**16 // L)
     with np.errstate(over="ignore"):
         for i in range(0, L, step):
-            block = flat.take(index[i : i + step]).view(np.float64)
+            block = _diagonals(X, slice(i, i + step)).view(np.float64)
             energy[i : i + step] = np.vecdot(block, block)
+    if not np.isfinite(energy).all():
+        _finite(X, "operator")
     energy[rows] = 0.0
     return _SLACK * math.sqrt(L * (float(energy.max()) + 2 * L * _TINY))
 
@@ -403,41 +421,47 @@ def underspread_divide(
     are transformed, so every verdict and every bit of A is what the full
     transforms give.  FFT budget: none of size L x L when the bounds decide,
     only the domain's rows of V(S), V(T) and V(A); all L rows of V(S) or
-    V(T) when its bound is open.
+    V(T) when its bound is open.  Non-finite entries are refused before any.
     """
-    S = as_operator(S, L=lattice.L)
-    T = as_operator(T, L=lattice.L)
-    _check_tol(zero_tol)
-    if not all(_is_int(x) for z in domain for x in z):
-        raise ValueError(f"domain coordinates must be integers, got {domain!r}")
     L = lattice.L
+    S = _coerce_operator(S, L=L)
+    T = _coerce_operator(T, L=L)
+    _check_tol(zero_tol)
+    kinds = set(map(type, itertools.chain.from_iterable(domain)))
+    if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+        raise ValueError(f"domain coordinates must be integers, got {domain!r}")
     rows, cols = np.asarray(domain, dtype=np.int64).reshape(-1, 2).T % L
     cosets = quotient_reps(adjoint_lattice(lattice)).locate(rows, cols)
-    if np.unique(cosets).size != cosets.size:
+    if np.bincount(cosets).max(initial=0) > 1:
         raise ValueError(
             "domain meets some adjoint coset twice; not part of a fundamental domain"
         )
-    used, row = np.unique(rows, return_inverse=True)  # V(A) is zero on other rows
+    used = np.flatnonzero(np.bincount(rows, minlength=L))  # V(A) is zero on other rows
+    row = used.searchsorted(rows)
+
+    off_rows = _off_rows_bound(S, used)
+    hs2 = float(np.vdot(T, T).real) + 2 * L * L * _TINY
+    if not math.isfinite(hs2):  # NaN or infinite entries, or an overflow
+        _finite(T, "operator")
+    ceiling = _SLACK * math.sqrt(L * hs2)  # >= max |V(T)|, by Parseval
 
     # domain point k lies in row spill_rows[k] of spill: the rows of V(S) that
     # meet the domain, or all of them when the bound leaves the check open
-    spill, spill_rows = np.abs(_spectrum_rows(S, used)), row
+    spill, spill_rows = np.abs(_spreading(S, used)), row
     peak = max(spill.max(initial=0.0), 1e-300)
-    if _off_rows_bound(S, used) > SUPPORT_RTOL * peak:
-        spill, spill_rows = np.abs(_spectrum_rows(S, slice(None))), rows
+    if off_rows > SUPPORT_RTOL * peak:
+        spill, spill_rows = np.abs(_spreading(S)), rows
         peak = max(spill.max(), 1e-300)
     spill[spill_rows, cols] = 0.0
     if spill.max() > SUPPORT_RTOL * peak:
         raise SupportViolationError(
             "spreading support of S exceeds the declared domain"
         )
-    VT = _spectrum_rows(T, used)
+    VT = _spreading(T, used)
     divisor = VT[row, cols]
     size, top = np.abs(divisor), float(np.abs(VT).max(initial=0.0))
-    hs2 = float(np.vdot(T, T).real) + 2 * L * L * _TINY
-    ceiling = _SLACK * math.sqrt(L * hs2)  # >= max |V(T)|, by Parseval
     if np.any((size > zero_tol * top) & ~(size > zero_tol * ceiling)):
-        VT = _spectrum_rows(T, slice(None))  # open: the true max |V(T)| decides
+        VT = _spreading(T)  # open: the true max |V(T)| decides
         divisor = VT[rows, cols]
         size, top = np.abs(divisor), float(np.abs(VT).max())
     vanishing = np.flatnonzero(size <= zero_tol * top)

@@ -45,7 +45,6 @@ from .phase_space import (
     ones_sequence,
     random_sequence,
 )
-from .suite import STANDARD_CASES, bump_divisor, run_case
 from .transforms import inverse_fourier_wigner
 from .windows import named_window
 
@@ -176,6 +175,7 @@ def _build_operator(spec: str, L: int, lattice, seed: int) -> np.ndarray:
                 )
         return inverse_fourier_wigner(grid)
     if spec == "bump":
+        from .suite import bump_divisor  # the suite loads only where it is used
         return bump_divisor(L)
     if spec.startswith("gabor:"):
         parts = spec[6:].split(",")
@@ -293,6 +293,7 @@ def cmd_divide(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suite import STANDARD_CASES, run_case
     tol = _resolve_tol(args)
     if args.cases:
         cases = []

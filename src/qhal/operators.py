@@ -58,15 +58,20 @@ def as_signal(psi, L: int | None = None) -> np.ndarray:
     return _finite(vec, "signal")
 
 
-def as_operator(S, L: int | None = None) -> np.ndarray:
-    """Coerce to a complex (L, L) matrix."""
+def _coerce_operator(S, L: int | None = None) -> np.ndarray:
+    """``as_operator`` without the finiteness scan."""
     mat = np.asarray(S, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"operator must be square, got shape {mat.shape}")
     if L is not None and mat.shape[0] != L:
         raise DimensionMismatchError(f"operator is {mat.shape[0]} x {mat.shape[0]}, expected L={L}")
     check_dimension(mat.shape[0])
-    return _finite(mat, "operator")
+    return mat
+
+
+def as_operator(S, L: int | None = None) -> np.ndarray:
+    """Coerce to a finite complex (L, L) matrix."""
+    return _finite(_coerce_operator(S, L), "operator")
 
 
 def tf_shift(z, L: int) -> np.ndarray:

@@ -86,9 +86,9 @@ def _diagonal_index(L: int) -> np.ndarray:
     return idx
 
 
-def _diagonals(S: np.ndarray) -> np.ndarray:
-    """The gathered diagonals D[m, a] = S[a, a - m], a permutation of S."""
-    return S.ravel().take(_diagonal_index(S.shape[0]))
+def _diagonals(S: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The gathered diagonals D[m, a] = S[a, a - m], m in ``rows``; all rows permute S."""
+    return S.ravel().take(_diagonal_index(S.shape[0])[rows])
 
 
 def _undiagonals(D: np.ndarray) -> np.ndarray:
@@ -99,9 +99,11 @@ def _undiagonals(D: np.ndarray) -> np.ndarray:
     return S.reshape(L, L)
 
 
-def _spreading(S: np.ndarray) -> np.ndarray:
-    """V(S)(m, n) = trace(pi(m, n)* S) = sum_a exp(-2 pi i n a / L) S[a, a - m]."""
-    return np.fft.fft(_diagonals(S), axis=1)
+def _spreading(S: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of V(S)(m, n) = trace(pi(m, n)* S) = sum_a exp(-2 pi i n a / L)
+    S[a, a - m]: row m is the FFT of diagonal m, run in place on the gather."""
+    D = _diagonals(S, rows)
+    return np.fft.fft(D, axis=1, out=D)
 
 
 def _unspreading(V: np.ndarray) -> np.ndarray:
@@ -189,8 +191,8 @@ def inverse_symplectic_fourier_series(
 
 
 def _periodize(f: np.ndarray, subgroup: Lattice) -> QuotientFunction:
-    """``periodize`` without the finiteness scan, for grids computed from
-    checked inputs; QuotientFunction still refuses non-finite coset sums.
+    """``periodize`` without the finiteness scan, for grids computed inside
+    the library; QuotientFunction refuses non-finite coset sums.
 
     With m = i a + r and n = k b + j, the point (m, n) lies in the box coset
     (r, (j - i c) mod b).  One matrix-vector product per row sums over k on

@@ -831,6 +831,91 @@ def test_underspread_divide_band_cases_match_full_transforms(full_rows):
         assert assert_divide_matches_oracle(S_, T_, lat, dom, tol) is refusal, name
 
 
+# -- non-finite operands -----------------------------------------------------
+
+
+def non_finite_cases():
+    """Each request on valid operands at L = 15 over 3Z x 5Z, as a call and
+    its operands; the divide's domain is the 3 x 3 box around 0."""
+    L = 15
+    lat = make_separable_lattice(3, 5, L)
+    rng = np.random.default_rng(144)
+    S, T = random_operator(L, rng), random_operator(L, rng)
+    G = seq_op_conv(random_sequence(lat, rng), S)
+    U = spread_on(L, {z: complex(*rng.standard_normal(2)) for z in box(L, 1, 1)})
+    V = bounded_spreading_operator(L, rng)
+    return {
+        "riesz": (lambda S: riesz_report(S, lat), (S,)),
+        "biorthogonal": (lambda S: biorthogonal_generator(S, lat), (S,)),
+        "approx": (lambda T, S: best_approximation(T, S, lat), (T, S)),
+        "recover": (lambda G, S: recover_mask(G, S, lat), (G, S)),
+        "divide": (lambda S, T: underspread_divide(S, T, lat, box(L, 1, 1)), (U, V)),
+    }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name, k",
+    [("riesz", 0), ("biorthogonal", 0), ("approx", 0), ("approx", 1),
+     ("recover", 0), ("recover", 1), ("divide", 0), ("divide", 1)],
+)
+def test_non_finite_operand_is_refused(name, k, value, full_rows):
+    """No request scans its operands first: one NaN or +inf entry reaches the
+    coset sums through the FFT, or the divide's energy or Parseval pass, and
+    is refused as by as_operator, with no RuntimeWarning on the way.  Entry
+    (4, 11) lies on diagonal 8, a row of V that the divide never transforms,
+    so only its passes over all of each operand see it, before any FFT."""
+    call, operands = non_finite_cases()[name]
+    bad = [np.array(X) for X in operands]
+    bad[k][4, 11] = value
+    del full_rows[:]
+    with pytest.raises(NonFiniteError, match="^operator has NaN or infinite entries$"):
+        call(*bad)
+    if name == "divide":
+        assert full_rows == []
+
+
+def test_degenerate_generator_is_refused_before_a_non_finite_target():
+    """The symbol comes before the cross term, so a NaN in T or G with a
+    generator whose translates are not Riesz gives NotRieszError."""
+    cases = non_finite_cases()
+    call_approx, (T, _) = cases["approx"]
+    call_recover, (G, _) = cases["recover"]
+    T, G = np.array(T), np.array(G)
+    T[4, 11] = G[4, 11] = np.nan
+    zero = np.zeros_like(T)
+    with pytest.raises(NotRieszError):
+        call_approx(T, zero)
+    with pytest.raises(NotRieszError):
+        call_recover(G, zero)
+
+
+def test_overflow_of_finite_entries_keeps_the_coset_sums_refusal():
+    """Entries of 1e200 are finite, so the rescan passes them and the coset
+    sums' own refusal stands; no overflow warning reaches the caller."""
+    cases = non_finite_cases()
+    for name in ("riesz", "biorthogonal", "approx", "recover"):
+        call, operands = cases[name]
+        with pytest.raises(NonFiniteError, match="^quotient function has NaN"):
+            call(*operands[:-1], 1e200 * operands[-1])
+
+
+def test_underspread_divide_with_huge_finite_entries_matches_full_transforms(full_rows):
+    """Entries of 1e200 overflow the diagonal energies of S or the Parseval
+    sum of T, and the rescan passes them as finite.  The energies that
+    overflow are the domain's rows of S, which the support bound leaves out,
+    so only those rows are transformed; T's infinite sum opens its bound, so
+    all rows of V(T) are.  A is the oracle's bit for bit."""
+    call, (S, T) = non_finite_cases()["divide"]
+    lat = make_separable_lattice(3, 5, 15)
+    domain = box(15, 1, 1)
+    for S_, T_, full in [(1e200 * S, T, (False, False)), (S, 1e200 * T, (False, False, True))]:
+        del full_rows[:]
+        call(S_, T_)
+        assert tuple(full_rows) == full
+        assert assert_divide_matches_oracle(S_, T_, lat, domain) is None
+
+
 # -- norm equivalence bands --------------------------------------------------
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qhal
 from qhal import make_separable_lattice, random_sequence, tf_shift
 from qhal.cli import main, parse_lattice_spec, render_json
 from qhal.io import load_text, loads_lattice, loads_operator, loads_sequence, loads_signal
@@ -401,3 +405,15 @@ def test_unknown_operator_spec_is_config_error(capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_cli_import_leaves_the_suite_unloaded():
+    """Only ``suite`` and the ``bump`` operator spec load qhal.suite, so a
+    riesz, approx or recover child does not pay for its import."""
+    src = os.path.dirname(os.path.dirname(qhal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, qhal.cli; assert 'qhal.suite' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,11 +5,16 @@ traced memory of one request."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qhal
 from qhal import (
     LatticeSequence,
     NonFiniteError,
@@ -264,15 +269,51 @@ def test_overflowed_internal_grid_is_refused():
             best_approximation(T, S, LAT)
 
 
+# -- imports -----------------------------------------------------------------------
+
+
+def test_requests_do_not_import_numpy_ma():
+    """numpy.ma costs about 13 ms and 1.5 MB per process, and np.unique loads
+    it; the four requests at L = 15 leave it unloaded in a fresh interpreter."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import numpy as np
+        import qhal
+        from qhal.operators import random_operator
+
+        L = 15
+        lat = qhal.make_separable_lattice(3, 5, L)
+        rng = np.random.default_rng(0)
+        S, T = random_operator(L, rng), random_operator(L, rng)
+        G = qhal.seq_op_conv(qhal.random_sequence(lat, rng), S)
+        qhal.riesz_report(S, lat)
+        qhal.best_approximation(T, S, lat)
+        qhal.recover_mask(G, S, lat)
+        qhal.underspread_divide(np.eye(L), T, lat, [(0, 0), (1, 1)])
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """
+    )
+    src = os.path.dirname(os.path.dirname(qhal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- memory at L = 1001 ------------------------------------------------------------
 
 
 def test_traced_memory_at_L1001():
     """7Z x 13Z at L = 1001 (N = 11011), after a warm-up call builds the per-L
-    constants: riesz traces at most 2.25 complex L x L arrays beyond its input
-    (V(S) and the diagonals it comes from; the second route through
-    checked(S*) traced 4.5).  The quotient cache keeps no L x L array, and
-    the traced peaks leave no room for an L x L int64 coset table."""
+    constants: riesz traces at most 1.75 complex L x L arrays beyond its input
+    (V(S), transformed in place on the gathered diagonals, and the real
+    |V(S)|^2: 1.59 measured; the diagonals and V(S) apart traced 2.0, and
+    the second route through checked(S*) 4.5).  The quotient cache keeps no
+    L x L array, and the traced peaks leave no room for an L x L int64 coset
+    table."""
     L = 1001
     lat = make_separable_lattice(7, 13, L)
     rng = np.random.default_rng(1001)
@@ -305,7 +346,7 @@ def test_traced_memory_at_L1001():
         retained = (tracemalloc.get_traced_memory()[0] - start) / array
     finally:
         tracemalloc.stop()
-    assert peaks["riesz_report"] <= 2.25, peaks
+    assert peaks["riesz_report"] <= 1.75, peaks
     # the lift's result owns its memory, so products and the inverse FFT reuse
     # it, and approx frees V(T) and V(S) once read: 4.17 and 3.17 measured
     assert peaks["best_approximation"] <= 4.25, peaks
